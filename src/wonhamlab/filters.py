@@ -8,6 +8,18 @@ with one classical RK4 step, holding the observation path piecewise linear
 inside the cell.  The propagator route (``zakai_flow``) integrates the same
 linear equation column-wise with the same cell kernel.
 
+The per-cell maps of the linear equation do not depend on the state, so their
+products are associative.  Every recursion along one observation path
+(``filter_trajectory``, ``gauge_filter``, ``zakai_flow`` and the step-halving
+probe) runs through one blocked prefix-scan driver: per block of cells, one
+kernel call on the broadcast identity gives the block's maps, a Hillis-Steele
+scan forms their products rescaled to unit mass with the log masses summed
+apart, and the products are applied to the carried vector or matrix, whose last
+node and log mass carry into the next block.  Batches of many paths keep a
+per-cell loop over the whole batch: there one kernel call already covers many
+paths, and the scan's extra matrix products per cell would cost more than the
+calls it saves.
+
 Two routes solve the nonlinear, normalized equation instead.  The projected
 route (``projected_filter_trajectory``) takes one RK4 step of its Wong-Zakai
 form on the same observation polygon; it shares no code with the gauge kernel
@@ -36,6 +48,10 @@ from .simulate import ObservationPath, TimeGrid
 
 EULER_FLOOR = 1e-14
 CONDITION_THRESHOLD = 1e12
+# Cells per block of the prefix scan.  A block costs log2(block) matrix
+# products per cell and its maps are the scan's whole working set; much shorter
+# blocks pay the per-block call overhead instead.
+_SCAN_BLOCK = 512
 
 
 def normalize(x) -> np.ndarray:
@@ -125,6 +141,60 @@ def propagate_cell_matrix(matrices, d_y, dt, s_diag, t_off, levels) -> np.ndarra
     return (matrices + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) / e_full
 
 
+def _cell_maps(increments, dt, s_diag, t_off, levels) -> np.ndarray:
+    # Per-cell maps for increments of shape (..., n), as one kernel call on the
+    # broadcast identity: shape (..., n, d, d).
+    d = s_diag.shape[0]
+    eye = np.broadcast_to(np.eye(d), np.shape(increments) + (d, d))
+    return propagate_cell_matrix(eye, increments, dt, s_diag, t_off, levels)
+
+
+def _prefix_products(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Hillis-Steele inclusive scan of maps (n, d, d): entry k of the result is
+    # maps[k] @ ... @ maps[0] rescaled to unit mass, with its log mass kept
+    # apart.  Every partial product is renormalized at every level, so the
+    # mass neither over- nor underflows however many cells the block holds.
+    mass = maps.sum(axis=(1, 2))
+    prods = maps / mass[:, None, None]
+    logs = np.log(mass)
+    shift = 1
+    while shift < prods.shape[0]:
+        joined = prods[shift:] @ prods[:-shift]
+        mass = joined.sum(axis=(1, 2))
+        logs[shift:] = logs[shift:] + logs[:-shift] + np.log(mass)
+        prods[shift:] = joined / mass[:, None, None]
+        shift *= 2
+    return prods, logs
+
+
+def _scan_path(state, increments, dt, s_diag, t_off, levels):
+    """Blocked prefix-scan driver for one observation path.
+
+    ``state`` is a vector (d,) or a matrix (d, d).  ``increments`` has shape
+    (n,), one entry per step, or (n, r), where a step is r consecutive cells of
+    width ``dt`` taken in order.  Yields, block by block, the images of
+    ``state`` at the block's nodes rescaled to unit mass, shape (b, d) or
+    (b, d, d), and their log masses relative to ``state``, shape (b,).  The
+    last node and its log mass are carried into the next block, so the working
+    set stays of the order of one block whatever the number of steps.
+    """
+    carried_log = 0.0
+    for lo in range(0, len(increments), _SCAN_BLOCK):
+        maps = _cell_maps(increments[lo:lo + _SCAN_BLOCK], dt, s_diag, t_off, levels)
+        if maps.ndim == 4:
+            steps = maps[:, 0]
+            for j in range(1, maps.shape[1]):
+                steps = maps[:, j] @ steps
+            maps = steps
+        prods, logs = _prefix_products(maps)
+        images = prods @ state
+        mass = images.sum(axis=tuple(range(1, images.ndim)), keepdims=True)
+        images /= mass
+        logs += carried_log + np.log(mass.ravel())
+        yield images, logs
+        state, carried_log = images[-1], logs[-1]
+
+
 def cell_propagators(increments, dt, generator: GeneratorMatrix, observation: ObservationMap) -> np.ndarray:
     """Exact per-cell linear maps of the discretized unnormalized flow.
 
@@ -132,15 +202,7 @@ def cell_propagators(increments, dt, generator: GeneratorMatrix, observation: Ob
     product over a cell range reproduces the propagator over that range.
     """
     s_diag, t_off = split_rate_matrix(generator)
-    levels = observation.levels
-    inc = np.asarray(increments, dtype=float)
-    n = inc.shape[-1]
-    d = generator.d
-    eye = np.broadcast_to(np.eye(d), inc.shape[:-1] + (d, d))
-    out = np.empty(inc.shape[:-1] + (n, d, d))
-    for k in range(n):
-        out[..., k, :, :] = propagate_cell_matrix(eye, inc[..., k], dt, s_diag, t_off, levels)
-    return out
+    return _cell_maps(np.asarray(increments, dtype=float), dt, s_diag, t_off, observation.levels)
 
 
 def gauge_filter(mu, s, t, obs: ObservationPath, generator: GeneratorMatrix,
@@ -159,16 +221,14 @@ def gauge_filter(mu, s, t, obs: ObservationPath, generator: GeneratorMatrix,
     if i1 < i0:
         raise GridMismatchError("need s <= t")
     s_diag, t_off = split_rate_matrix(generator)
-    levels = observation.levels
     total = arr.sum()
     rho = arr / total
     log_scale = math.log(total)
-    for k in range(i0, i1):
-        rho = propagate_cell(rho, obs.increments[k], grid.dt, s_diag, t_off, levels)
-        total = rho.sum()
-        rho = rho / total
-        log_scale += math.log(total)
-    return rho, log_scale
+    log_mass = 0.0
+    for images, logs in _scan_path(rho, obs.increments[i0:i1], grid.dt, s_diag, t_off,
+                                   observation.levels):
+        rho, log_mass = images[-1].copy(), float(logs[-1])
+    return rho, log_scale + log_mass
 
 
 def filter_semiflow(mu, s, t, obs: ObservationPath, generator: GeneratorMatrix,
@@ -203,19 +263,16 @@ def filter_trajectory(initial, generator: GeneratorMatrix, observation: Observat
     pi0 = validate_simplex(initial)
     grid = obs.grid
     s_diag, t_off = split_rate_matrix(generator)
-    levels = observation.levels
     n = grid.n_steps
     values = np.empty((n + 1, generator.d))
     log_scale = np.empty(n + 1)
     values[0] = pi0
     log_scale[0] = 0.0
-    rho = np.array(pi0)
-    for k in range(n):
-        rho = propagate_cell(rho, obs.increments[k], grid.dt, s_diag, t_off, levels)
-        total = rho.sum()
-        rho = rho / total
-        values[k + 1] = rho
-        log_scale[k + 1] = log_scale[k] + math.log(total)
+    node = 1
+    for images, logs in _scan_path(pi0, obs.increments, grid.dt, s_diag, t_off, observation.levels):
+        values[node:node + len(logs)] = images
+        log_scale[node:node + len(logs)] = logs
+        node += len(logs)
     return FilterTrajectory(grid=grid, values=values, log_scale=log_scale, tag=tag, initial=pi0)
 
 
@@ -330,14 +387,11 @@ def zakai_flow(s, t, obs: ObservationPath, generator: GeneratorMatrix,
     if i1 < i0:
         raise GridMismatchError("need s <= t")
     s_diag, t_off = split_rate_matrix(generator)
-    levels = observation.levels
     u = np.eye(generator.d)
     log_scale = 0.0
-    for k in range(i0, i1):
-        u = propagate_cell_matrix(u, obs.increments[k], grid.dt, s_diag, t_off, levels)
-        total = u.sum()
-        u = u / total
-        log_scale += math.log(total)
+    for images, logs in _scan_path(u, obs.increments[i0:i1], grid.dt, s_diag, t_off,
+                                   observation.levels):
+        u, log_scale = images[-1].copy(), float(logs[-1])
     if i1 > i0:
         cond = float(np.linalg.cond(u))
         if cond > condition_threshold:
@@ -371,6 +425,10 @@ def zakai_flow_inverse(s, t, obs: ObservationPath, generator: GeneratorMatrix,
     coefficient ``-H``) with the same per-cell gauge scheme, so the product with
     the forward propagator should recover the identity up to integrator error.
     Returns (unit-mass matrix, log scale); entries may be signed.
+
+    Stays on a per-cell loop rather than the prefix scan: with signed entries
+    the products are renormalized by absolute mass, which the scan's unit-mass
+    products do not carry.
     """
     grid = obs.grid
     i0, i1 = grid.node(s), grid.node(t)

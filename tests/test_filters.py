@@ -1,11 +1,23 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import wonhamlab as wl
-from wonhamlab.filters import propagate_cell, split_rate_matrix
+from wonhamlab.filters import (
+    _SCAN_BLOCK,
+    _cell_maps,
+    _prefix_products,
+    _scan_path,
+    propagate_cell,
+    propagate_cell_matrix,
+    split_rate_matrix,
+)
 
 
 class TestNormalize:
@@ -349,3 +361,193 @@ class TestTrajectoryExport:
         last = lines[-1].split(",")
         assert float(last[0]) == pytest.approx(1.0)
         assert float(last[1]) == pytest.approx(traj.values[-1][0])
+
+
+# -- blocked prefix scan against the plain per-cell recursion -----------------
+
+BLOCK = _SCAN_BLOCK
+SCAN_LENGTHS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 10_000]
+PROBE_LENGTHS = [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK - 7]
+SCAN_SETTINGS = settings(derandomize=True, deadline=None, max_examples=3)
+
+
+def kernel_parts(model):
+    return split_rate_matrix(model.generator) + (model.observation.levels,)
+
+
+def loop_path(state, increments, dt, s_diag, t_off, levels):
+    """Reference recursion: one kernel call per cell, renormalized at every cell.
+
+    ``increments`` has shape (n,) or (n, r) (r cells per step); returns the
+    unit-mass images at the n step ends and their log masses relative to
+    ``state``.
+    """
+    kernel = propagate_cell if np.ndim(state) == 1 else propagate_cell_matrix
+    images, logs, log_mass = [], [], 0.0
+    for step in increments:
+        for d_y in np.atleast_1d(step):
+            state = kernel(state, d_y, dt, s_diag, t_off, levels)
+            total = state.sum()
+            state = state / total
+            log_mass += math.log(total)
+        images.append(state)
+        logs.append(log_mass)
+    return np.reshape(images, (len(logs),) + np.shape(state)), np.array(logs)
+
+
+def loop_probe(model, grid, master_seed):
+    """Reference step-halving probe: fine and coarse filters cell by cell."""
+    fine = grid.refined(2)
+    sig, noise = np.random.SeedSequence([master_seed, 0xA110]).spawn(2)
+    path = wl.simulate_signal(model.initial, model.generator, fine,
+                              np.random.Generator(np.random.Philox(sig)))
+    obs = wl.simulate_observations(path, model.observation, fine,
+                                   np.random.Generator(np.random.Philox(noise)))
+    steps = obs.increments.reshape(-1, 2)
+    fine_vals, _ = loop_path(model.initial, steps, fine.dt, *kernel_parts(model))
+    coarse_vals, _ = loop_path(model.initial, steps.sum(axis=1), grid.dt, *kernel_parts(model))
+    return float(np.abs(fine_vals - coarse_vals).sum(axis=1).max())
+
+
+def assert_matches_loop(values, logs, ref_values, ref_logs):
+    """1e-12 in l1 per node, 1e-12 relative (floor 1) in log mass, and strictly
+    positive wherever the reference holds a normal (not subnormal) float."""
+    assert values.shape == ref_values.shape and logs.shape == ref_logs.shape
+    gaps = np.abs(values - ref_values).sum(axis=tuple(range(1, values.ndim)))
+    assert gaps.max(initial=0.0) <= 1e-12
+    assert np.all(np.abs(logs - ref_logs) <= 1e-12 * np.maximum(1.0, np.abs(ref_logs)))
+    assert np.all(values[ref_values >= np.finfo(float).tiny] > 0.0)
+
+
+@st.composite
+def scan_models(draw):
+    """Random model with d in 2..6, mixing or not, and one initial weight 1e-12.
+
+    A non-mixing draw zeroes about half the rates and every rate into one state.
+    """
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = rng.uniform(0.2, 3.0, size=(d, d))
+    if not draw(st.booleans()):
+        rates *= rng.random((d, d)) < 0.5
+        rates[:, rng.integers(d)] = 0.0
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    initial = rng.dirichlet(np.ones(d))
+    initial[rng.integers(d)] = 1e-12
+    return wl.FilterModel.from_raw(initial / initial.sum(), rates, rng.uniform(-2.0, 2.0, size=d))
+
+
+def simulated_obs(model, n, dt, seed):
+    grid = wl.TimeGrid(n * dt, dt)
+    sig, noise = wl.spawn_generators(seed, 2)
+    path = wl.simulate_signal(model.initial, model.generator, grid, sig)
+    return wl.simulate_observations(path, model.observation, grid, noise)
+
+
+class TestPrefixScan:
+    @given(model=scan_models(), n=st.integers(1, 70), seed=st.integers(0, 999))
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    def test_prefix_products_match_loop(self, model, n, seed):
+        obs = simulated_obs(model, n, 1e-2, seed)
+        maps = _cell_maps(obs.increments, 1e-2, *kernel_parts(model))
+        prods, logs = _prefix_products(maps)
+        assert np.abs(prods.sum(axis=(1, 2)) - 1.0).max() <= 1e-13
+        product, log_mass, expected, expected_logs = np.eye(model.d), 0.0, [], []
+        for cell in maps:
+            product = cell @ product
+            total = product.sum()
+            product = product / total
+            log_mass += math.log(total)
+            expected.append(product)
+            expected_logs.append(log_mass)
+        assert_matches_loop(prods, logs, np.array(expected), np.array(expected_logs))
+
+    @pytest.mark.parametrize("n", SCAN_LENGTHS)
+    @given(model=scan_models(), dt=st.sampled_from([1e-3, 1e-2]),
+           cells_per_step=st.sampled_from([1, 2]), matrix_state=st.booleans(),
+           seed=st.integers(0, 999))
+    @SCAN_SETTINGS
+    def test_driver_matches_loop(self, model, n, dt, cells_per_step, matrix_state, seed):
+        obs = simulated_obs(model, max(1, n * cells_per_step), dt, seed)
+        steps = obs.increments[:n * cells_per_step]
+        if cells_per_step == 2:
+            steps = steps.reshape(n, 2)
+        state = np.eye(model.d) if matrix_state else model.initial
+        parts = kernel_parts(model)
+        blocks = list(_scan_path(state, steps, dt, *parts))
+        assert all(len(logs) <= BLOCK for _, logs in blocks)
+        values = np.concatenate([v for v, _ in blocks] or [np.empty((0,) + state.shape)])
+        logs = np.concatenate([lg for _, lg in blocks] or [np.empty(0)])
+        assert_matches_loop(values, logs, *loop_path(state, steps, dt, *parts))
+
+    @pytest.mark.parametrize("n", SCAN_LENGTHS)
+    @given(model=scan_models(), dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 999))
+    @SCAN_SETTINGS
+    def test_public_routes_match_loop(self, model, n, dt, seed):
+        obs = simulated_obs(model, max(1, n), dt, seed)
+        gen, obs_map = model.generator, model.observation
+        parts = kernel_parts(model)
+        ref_values, ref_logs = loop_path(model.initial, obs.increments[:n], dt, *parts)
+        if n > 0:
+            traj = wl.filter_trajectory(model.initial, gen, obs_map, obs)
+            assert_matches_loop(traj.values[1:], traj.log_scale[1:], ref_values, ref_logs)
+            assert np.array_equal(traj.values[0], model.initial) and traj.log_scale[0] == 0.0
+
+        rho, log_scale = wl.gauge_filter(3.0 * model.initial, 0.0, n * dt, obs, gen, obs_map)
+        ref_rho = np.concatenate([[model.initial], ref_values])[-1]
+        ref_log = math.log(3.0) + np.concatenate([[0.0], ref_logs])[-1]
+        assert_matches_loop(rho[None], np.array([log_scale]), ref_rho[None], np.array([ref_log]))
+
+        if n > 0:
+            # the flow starts off node 0, so its blocks begin at an offset into the path
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", wl.IllConditionedWarning)
+                flow = wl.zakai_flow(dt, n * dt, obs, gen, obs_map)
+            ref_flow, ref_flow_log = loop_path(np.eye(model.d), obs.increments[1:n], dt, *parts)
+            if n == 1:
+                assert np.array_equal(flow.entries, np.eye(model.d)) and flow.log_scale == 0.0
+            else:
+                assert_matches_loop(flow.entries[None], np.array([flow.log_scale]),
+                                    ref_flow[-1:], ref_flow_log[-1:])
+
+        per_cell = [propagate_cell_matrix(np.eye(model.d), d_y, dt, *parts) for d_y in obs.increments]
+        assert np.array_equal(wl.filters.cell_propagators(obs.increments, dt, gen, obs_map),
+                              np.array(per_cell))
+
+    @pytest.mark.parametrize("n", PROBE_LENGTHS)
+    @given(model=scan_models(), dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 999))
+    @SCAN_SETTINGS
+    def test_probe_matches_loop(self, model, n, dt, seed):
+        grid = wl.TimeGrid(n * dt, dt)
+        probe = wl.measure_integrator_tolerance(model, grid, seed)
+        assert abs(probe - loop_probe(model, grid, seed)) <= 1e-12
+
+
+class TestScanWorkingSet:
+    """The scan holds one block of maps at a time, whatever the path length."""
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_long_flow_and_gauge_filter(self, ref_model, observe):
+        obs = observe(ref_model, 100.0, 1e-3, 4242)
+        gen, obs_map = ref_model.generator, ref_model.observation
+
+        def run():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", wl.IllConditionedWarning)
+                wl.zakai_flow(0.0, 100.0, obs, gen, obs_map)
+            wl.gauge_filter(ref_model.initial, 0.0, 100.0, obs, gen, obs_map)
+
+        assert self.peak_bytes(run) < 2 * 2**20
+
+    def test_probe_on_the_desk_grid(self, ref_model):
+        grid = wl.TimeGrid(10.0, 1e-3)
+        assert self.peak_bytes(lambda: wl.measure_integrator_tolerance(ref_model, grid, 2026)) < 2**20
