@@ -25,8 +25,8 @@ from .errors import (
 )
 from .filters import (
     EULER_FLOOR,
+    _lockstep,
     _scan_path,
-    propagate_cell,
     propagate_cell_matrix,
     split_rate_matrix,
 )
@@ -235,28 +235,6 @@ def _allowance(spec: ExperimentSpec) -> float:
     return ALLOWANCE_FACTOR * measure_integrator_tolerance(spec.pair.true_model, spec.grid, spec.master_seed)
 
 
-def _filter_parts(model_initial, generator, observation):
-    s_diag, t_off = split_rate_matrix(generator)
-    return np.asarray(model_initial, dtype=float), s_diag, t_off, observation.levels
-
-
-def _run_filter_batch(increments: np.ndarray, dt: float, filters, node_hook) -> None:
-    """Advance several filters in lockstep over a batch of observation paths.
-
-    ``filters`` holds (initial, s_diag, t_off, levels) tuples; ``node_hook`` is
-    called as hook(node_index, list_of_states) after every node including 0.
-    """
-    m = increments.shape[0]
-    states = [np.broadcast_to(f[0], (m, f[0].shape[0])).copy() for f in filters]
-    node_hook(0, states)
-    for k in range(increments.shape[1]):
-        d_y = increments[:, k]
-        for i, (_, s_diag, t_off, levels) in enumerate(filters):
-            rho = propagate_cell(states[i], d_y, dt, s_diag, t_off, levels)
-            states[i] = rho / rho.sum(axis=1, keepdims=True)
-        node_hook(k + 1, states)
-
-
 def _euler_batch_values(initial, increments, dt, generator, observation, floor=EULER_FLOOR):
     """Endpoint of the Euler diagnostic route for a batch of paths."""
     lam = generator.entries
@@ -319,15 +297,10 @@ def _robustness_core(pair: ModelPair, grid: TimeGrid, n_trials: int, master_seed
             sq_chk[:, chk_pos[k]] = sq
             inv_min[:, chk_pos[k]] = 1.0 / states[0].min(axis=1)
 
-    _run_filter_batch(
-        increments,
-        grid.dt,
-        [
-            _filter_parts(truth.initial, truth.generator, truth.observation),
-            _filter_parts(approx.initial, approx.generator, approx.observation),
-        ],
-        hook,
-    )
+    filters = [(truth.initial, truth.generator, truth.observation),
+               (approx.initial, approx.generator, approx.observation)]
+    for k, states in enumerate(_lockstep(filters, increments, grid.dt)):
+        hook(k, states)
 
     constants = robustness_constants(pair)
     gaps = {
@@ -453,15 +426,10 @@ def _forgetting_core(spec: ExperimentSpec, n_trials: int, allowance: float) -> d
         if k in chk_pos:
             gap_chk[:, chk_pos[k]] = gap
 
-    _run_filter_batch(
-        increments,
-        grid.dt,
-        [
-            _filter_parts(mu_1, approx.generator, approx.observation),
-            _filter_parts(mu_2, approx.generator, approx.observation),
-        ],
-        hook,
-    )
+    filters = [(mu_1, approx.generator, approx.observation),
+               (mu_2, approx.generator, approx.observation)]
+    for k, states in enumerate(_lockstep(filters, increments, grid.dt)):
+        hook(k, states)
 
     rows = []
     inconclusive = False
@@ -551,11 +519,9 @@ def _inverse_moment_core(spec: ExperimentSpec, n_trials: int, allowance: float) 
         if k in chk_pos:
             inv_min[:, chk_pos[k]] = 1.0 / states[0].min(axis=1)
 
-    _run_filter_batch(
-        increments, grid.dt,
-        [_filter_parts(truth.initial, truth.generator, truth.observation)],
-        hook,
-    )
+    filters = [(truth.initial, truth.generator, truth.observation)]
+    for k, states in enumerate(_lockstep(filters, increments, grid.dt)):
+        hook(k, states)
 
     rows = []
     inconclusive = False
@@ -793,12 +759,9 @@ def run_integrator_refinement(spec: ExperimentSpec) -> ExperimentReport:
     )
 
     def gauge_end(inc, dt):
-        vals = np.broadcast_to(truth.initial, (inc.shape[0], truth.d)).copy()
-        s_diag, t_off = split_rate_matrix(truth.generator)
-        for k in range(inc.shape[1]):
-            vals = propagate_cell(vals, inc[:, k], dt, s_diag, t_off, truth.observation.levels)
-            vals /= vals.sum(axis=1, keepdims=True)
-        return vals
+        for vals in _lockstep([(truth.initial, truth.generator, truth.observation)], inc, dt):
+            pass
+        return vals[0]
 
     reference = gauge_end(increments, dt_ref)
     table = []

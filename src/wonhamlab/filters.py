@@ -3,10 +3,12 @@ unnormalized propagator, and the gauge-transformed reference integrator.
 
 The reference route rewrites the linear unnormalized equation as a random ODE
 with an entrywise-nonnegative coefficient matrix (diagonal gauge change), which
-keeps every iterate strictly positive by construction.  Each grid cell is solved
-with one classical RK4 step, holding the observation path piecewise linear
-inside the cell.  The propagator route (``zakai_flow``) integrates the same
-linear equation column-wise with the same cell kernel.
+keeps every iterate nonnegative by construction, and strictly positive wherever
+the true weight is a normal double (with no rate into a state, its weight can
+underflow to 0.0).  Each grid cell is solved with one classical RK4 step,
+holding the observation path piecewise linear inside the cell.  The propagator
+route (``zakai_flow``) integrates the same linear equation column-wise with the
+same cell kernel.
 
 The per-cell maps of the linear equation do not depend on the state, so their
 products are associative.  Every recursion along one observation path
@@ -15,10 +17,11 @@ probe) runs through one blocked prefix-scan driver: per block of cells, one
 kernel call on the broadcast identity gives the block's maps, a Hillis-Steele
 scan forms their products rescaled to unit mass with the log masses summed
 apart, and the products are applied to the carried vector or matrix, whose last
-node and log mass carry into the next block.  Batches of many paths keep a
-per-cell loop over the whole batch: there one kernel call already covers many
-paths, and the scan's extra matrix products per cell would cost more than the
-calls it saves.
+node and log mass carry into the next block.  Monte Carlo batches instead stack
+the filters that share their paths, each with its own model, and advance the
+stack cell by cell with one kernel call per cell: there one call already covers
+many paths, and the scan's extra matrix products per cell would cost more than
+the calls it saves.
 
 Two routes solve the nonlinear, normalized equation instead.  The projected
 route (``projected_filter_trajectory``) takes one RK4 step of its Wong-Zakai
@@ -109,16 +112,19 @@ def propagate_cell(values, d_y, dt, s_diag, t_off, levels) -> np.ndarray:
     """Advance unnormalized filter vectors across one grid cell (RK4 on the gauge ODE).
 
     ``values`` has shape (..., d) and ``d_y`` broadcasts over the leading axes.
-    The image is entrywise positive whenever the input is.
+    One call advances F stacked models: ``values`` (F, m, d) with ``s_diag``
+    and ``levels`` (F, 1, d) and ``t_off`` (F, d, d).  The image is entrywise
+    positive whenever the input is, unless a weight underflows to 0.0.
     """
     c = _gauge_exponents(d_y, dt, s_diag, levels)
     e_half = np.exp(c * (0.5 * dt))
     e_full = np.exp(c * dt)
+    t_rows = np.swapaxes(t_off, -1, -2)
 
     def coeff(f, e):
-        return e * np.einsum("ij,...j->...i", t_off, f / e)
+        return e * ((f / e) @ t_rows)
 
-    k1 = np.einsum("ij,...j->...i", t_off, values)
+    k1 = values @ t_rows
     k2 = coeff(values + (0.5 * dt) * k1, e_half)
     k3 = coeff(values + (0.5 * dt) * k2, e_half)
     k4 = coeff(values + dt * k3, e_full)
@@ -132,9 +138,9 @@ def propagate_cell_matrix(matrices, d_y, dt, s_diag, t_off, levels) -> np.ndarra
     e_full = np.exp(c * dt)
 
     def coeff(f, e):
-        return e * np.einsum("ij,...jk->...ik", t_off, f / e)
+        return e * (t_off @ (f / e))
 
-    k1 = np.einsum("ij,...jk->...ik", t_off, matrices)
+    k1 = t_off @ matrices
     k2 = coeff(matrices + (0.5 * dt) * k1, e_half)
     k3 = coeff(matrices + (0.5 * dt) * k2, e_half)
     k4 = coeff(matrices + dt * k3, e_full)
@@ -195,6 +201,25 @@ def _scan_path(state, increments, dt, s_diag, t_off, levels):
         state, carried_log = images[-1], logs[-1]
 
 
+def _lockstep(filters, increments, dt):
+    """Run (initial, generator, observation) ``filters`` in lockstep on every
+    path of ``increments`` (m, n), one kernel call per cell for the whole stack.
+
+    Yields the stack (F, m, d) at node 0 and after every cell, at unit mass.
+    """
+    initials, generators, observations = zip(*filters)
+    parts = [split_rate_matrix(g) for g in generators]
+    s_diag = np.stack([p[0] for p in parts])[:, None, :]
+    t_off = np.stack([p[1] for p in parts])
+    levels = np.stack([o.levels for o in observations])[:, None, :]
+    states = np.repeat(np.asarray(initials, dtype=float)[:, None, :], increments.shape[0], axis=1)
+    yield states
+    for k in range(increments.shape[1]):
+        states = propagate_cell(states, increments[:, k], dt, s_diag, t_off, levels)
+        states /= states.sum(axis=-1, keepdims=True)
+        yield states
+
+
 def cell_propagators(increments, dt, generator: GeneratorMatrix, observation: ObservationMap) -> np.ndarray:
     """Exact per-cell linear maps of the discretized unnormalized flow.
 
@@ -209,9 +234,10 @@ def gauge_filter(mu, s, t, obs: ObservationPath, generator: GeneratorMatrix,
                  observation: ObservationMap) -> tuple[np.ndarray, float]:
     """Unnormalized filter over the node range [s, t] started from mu.
 
-    Returns a unit-l1 positive vector together with a log scale; the actual
-    unnormalized value is exp(log_scale) times the vector.  Linear in mu, so
-    scaling mu scales the result.
+    Returns a unit-l1 nonnegative vector (positive unless a weight underflows)
+    together with a log scale; the actual unnormalized value is
+    exp(log_scale) times the vector.  Linear in mu, so scaling mu scales the
+    result.  Raises NonPositiveEntryError unless mu is strictly positive.
     """
     arr = np.asarray(mu, dtype=float)
     if np.any(arr <= 0.0):

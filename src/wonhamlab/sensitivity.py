@@ -19,10 +19,9 @@ import numpy as np
 
 from .errors import ObservationMismatchError
 from .filters import (
+    _lockstep,
     cell_propagators,
     normalize_second_derivative,
-    propagate_cell,
-    split_rate_matrix,
     zakai_flow,
 )
 from .models import (
@@ -211,20 +210,14 @@ def _endpoint_flows(propagators: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vector_trajectory_batch(initial, increments, dt, generator, observation) -> np.ndarray:
-    """Normalized filter values at every node for a batch of paths, (m, n+1, d)."""
-    s_diag, t_off = split_rate_matrix(generator)
-    levels = observation.levels
-    inc = np.atleast_2d(np.asarray(increments, dtype=float))
-    m, n = inc.shape
-    d = generator.d
-    values = np.empty((m, n + 1, d))
-    state = np.broadcast_to(np.asarray(initial, dtype=float), (m, d)).copy()
-    values[:, 0] = state
-    for k in range(n):
-        state = propagate_cell(state, inc[:, k], dt, s_diag, t_off, levels)
-        state = state / state.sum(axis=1, keepdims=True)
-        values[:, k + 1] = state
+def _vector_trajectory_batch(initials, increments, dt, generators, observation) -> np.ndarray:
+    """Normalized values at every node, (F, m, n+1, d), of filters i started
+    from ``initials[i]`` with ``generators[i]``, for a batch of paths."""
+    m, n = increments.shape
+    values = np.empty((len(initials), m, n + 1, observation.d))
+    nodes = _lockstep([(mu, g, observation) for mu, g in zip(initials, generators)], increments, dt)
+    for k, states in enumerate(nodes):
+        values[:, :, k] = states
     return values
 
 
@@ -242,10 +235,9 @@ def error_representation_check(t, obs: ObservationPath, pair: ModelPair) -> floa
     grid = obs.grid
     n = grid.node(t)
     inc = obs.increments[None, :n]
-    breve = _vector_trajectory_batch(approx.initial, inc, grid.dt, approx.generator,
-                                     truth.observation)[0]
-    restarted = _vector_trajectory_batch(approx.initial, inc, grid.dt, truth.generator,
-                                         truth.observation)[0]
+    breve, restarted = _vector_trajectory_batch(
+        [approx.initial] * 2, inc, grid.dt, [approx.generator, truth.generator], truth.observation
+    )[:, 0]
     props = cell_propagators(obs.increments[:n], grid.dt, truth.generator, truth.observation)
     flows = _endpoint_flows(props)
     delta = approx.generator.drift_transpose - truth.generator.drift_transpose
@@ -261,9 +253,10 @@ def _robustness_inequality_batch(increments, dt, pair: ModelPair) -> tuple[np.nd
     truth, approx = pair.true_model, pair.approx_model
     levels = truth.observation
     inc = np.atleast_2d(np.asarray(increments, dtype=float))
-    true_traj = _vector_trajectory_batch(truth.initial, inc, dt, truth.generator, levels)
-    approx_from_mu = _vector_trajectory_batch(approx.initial, inc, dt, approx.generator, levels)
-    approx_from_nu = _vector_trajectory_batch(truth.initial, inc, dt, approx.generator, levels)
+    true_traj, approx_from_mu, approx_from_nu = _vector_trajectory_batch(
+        [truth.initial, approx.initial, truth.initial], inc, dt,
+        [truth.generator, approx.generator, approx.generator], levels,
+    )
     props = cell_propagators(inc, dt, approx.generator, levels)
     flows = _endpoint_flows(props)
     opnorms = derivative_opnorm_from_flow(flows, true_traj)

@@ -12,6 +12,7 @@ import wonhamlab as wl
 from wonhamlab.filters import (
     _SCAN_BLOCK,
     _cell_maps,
+    _lockstep,
     _prefix_products,
     _scan_path,
     propagate_cell,
@@ -419,16 +420,14 @@ def assert_matches_loop(values, logs, ref_values, ref_logs):
     assert np.all(values[ref_values >= np.finfo(float).tiny] > 0.0)
 
 
-@st.composite
-def scan_models(draw):
-    """Random model with d in 2..6, mixing or not, and one initial weight 1e-12.
+def random_model(rng, d, mixing):
+    """Random model of d states with one initial weight 1e-12.
 
-    A non-mixing draw zeroes about half the rates and every rate into one state.
+    A non-mixing model has about half its rates and every rate into one state
+    zeroed.
     """
-    d = draw(st.integers(2, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rates = rng.uniform(0.2, 3.0, size=(d, d))
-    if not draw(st.booleans()):
+    if not mixing:
         rates *= rng.random((d, d)) < 0.5
         rates[:, rng.integers(d)] = 0.0
     np.fill_diagonal(rates, 0.0)
@@ -436,6 +435,14 @@ def scan_models(draw):
     initial = rng.dirichlet(np.ones(d))
     initial[rng.integers(d)] = 1e-12
     return wl.FilterModel.from_raw(initial / initial.sum(), rates, rng.uniform(-2.0, 2.0, size=d))
+
+
+@st.composite
+def scan_models(draw):
+    """Random model with d in 2..6, mixing or not, and one initial weight 1e-12."""
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_model(rng, d, draw(st.booleans()))
 
 
 def simulated_obs(model, n, dt, seed):
@@ -551,3 +558,123 @@ class TestScanWorkingSet:
     def test_probe_on_the_desk_grid(self, ref_model):
         grid = wl.TimeGrid(10.0, 1e-3)
         assert self.peak_bytes(lambda: wl.measure_integrator_tolerance(ref_model, grid, 2026)) < 2**20
+
+
+# -- cell kernels against einsum, and the lockstep driver -----------------------
+
+
+def einsum_cell(values, d_y, dt, s_diag, t_off, levels):
+    """Reference cell kernel with the contractions written as einsum; one model."""
+    c = 0.5 * levels**2 - s_diag - levels * (np.asarray(d_y, dtype=float)[..., None] / dt)
+    e_half, e_full = np.exp(c * (0.5 * dt)), np.exp(c * dt)
+
+    def coeff(f, e):
+        return e * np.einsum("ij,...j->...i", t_off, f / e)
+
+    k1 = np.einsum("ij,...j->...i", t_off, values)
+    k2 = coeff(values + (0.5 * dt) * k1, e_half)
+    k3 = coeff(values + (0.5 * dt) * k2, e_half)
+    k4 = coeff(values + dt * k3, e_full)
+    return (values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) / e_full
+
+
+def einsum_cell_matrix(matrices, d_y, dt, s_diag, t_off, levels):
+    """Reference matrix kernel with einsum contractions; columns (..., d, k)."""
+    c = (0.5 * levels**2 - s_diag - levels * (np.asarray(d_y, dtype=float)[..., None] / dt))[..., None]
+    e_half, e_full = np.exp(c * (0.5 * dt)), np.exp(c * dt)
+
+    def coeff(f, e):
+        return e * np.einsum("ij,...jk->...ik", t_off, f / e)
+
+    k1 = np.einsum("ij,...jk->...ik", t_off, matrices)
+    k2 = coeff(matrices + (0.5 * dt) * k1, e_half)
+    k3 = coeff(matrices + (0.5 * dt) * k2, e_half)
+    k4 = coeff(matrices + dt * k3, e_full)
+    return (matrices + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) / e_full
+
+
+def assert_relative(actual, expected, rel=1e-14):
+    assert actual.shape == expected.shape
+    assert np.all(np.abs(actual - expected) <= rel * np.abs(expected))
+
+
+KERNEL_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+class TestCellKernels:
+    @given(d=st.integers(2, 6), width=st.sampled_from([None, 1, 7]), k=st.integers(1, 7),
+           dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 2**32 - 1))
+    @KERNEL_SETTINGS
+    def test_kernels_match_einsum(self, d, width, k, dt, seed):
+        """Scalar d_y with unbatched inputs, or d_y of shape (width,) batched."""
+        rng = np.random.default_rng(seed)
+        parts = kernel_parts(random_model(rng, d, bool(rng.integers(2))))
+        lead = () if width is None else (width,)
+        d_y = float(rng.normal(0.0, 0.1)) if width is None else rng.normal(0.0, 0.1, size=width)
+        values = rng.uniform(0.01, 1.0, size=lead + (d,))
+        matrices = rng.uniform(0.01, 1.0, size=lead + (d, k))
+        assert_relative(propagate_cell(values, d_y, dt, *parts), einsum_cell(values, d_y, dt, *parts))
+        assert_relative(propagate_cell_matrix(matrices, d_y, dt, *parts),
+                        einsum_cell_matrix(matrices, d_y, dt, *parts))
+
+    @given(d=st.integers(2, 6), n_filters=st.integers(1, 3), width=st.integers(1, 7),
+           seed=st.integers(0, 2**32 - 1))
+    @KERNEL_SETTINGS
+    def test_stacked_models_match_one_call_per_model(self, d, n_filters, width, seed):
+        rng = np.random.default_rng(seed)
+        models = [random_model(rng, d, bool(rng.integers(2))) for _ in range(n_filters)]
+        s_diag, t_off, levels = (np.stack(p) for p in zip(*map(kernel_parts, models)))
+        values = rng.uniform(0.01, 1.0, size=(n_filters, width, d))
+        d_y = rng.normal(0.0, 0.1, size=width)
+        stacked = propagate_cell(values, d_y, 1e-2, s_diag[:, None], t_off, levels[:, None])
+        expected = np.stack([einsum_cell(values[i], d_y, 1e-2, *kernel_parts(model))
+                             for i, model in enumerate(models)])
+        assert_relative(stacked, expected)
+
+    @given(d=st.integers(2, 6), n_filters=st.integers(1, 3), width=st.integers(1, 5),
+           n=st.sampled_from([0, 1, 2, 37]), dt=st.sampled_from([1e-3, 1e-2]),
+           seed=st.integers(0, 2**32 - 1))
+    @KERNEL_SETTINGS
+    def test_lockstep_matches_separate_loops(self, d, n_filters, width, n, dt, seed):
+        """Each filter with its own generator, levels and initial law."""
+        rng = np.random.default_rng(seed)
+        models = [random_model(rng, d, bool(rng.integers(2))) for _ in range(n_filters)]
+        increments = rng.normal(0.0, math.sqrt(dt), size=(width, n))
+        nodes = list(_lockstep([(m.initial, m.generator, m.observation) for m in models],
+                               increments, dt))
+        assert len(nodes) == n + 1
+        for i, model in enumerate(models):
+            state = np.broadcast_to(model.initial, (width, d))
+            for k, stack in enumerate(nodes):
+                if k > 0:
+                    state = einsum_cell(state, increments[:, k - 1], dt, *kernel_parts(model))
+                    state = state / state.sum(axis=1, keepdims=True)
+                assert stack.shape == (n_filters, width, d)
+                assert np.abs(stack[i] - state).sum(axis=1).max() <= 1e-14
+
+
+class TestNonMixingUnderflow:
+    """With no rate into a state, that state's weight leaves the double range.
+
+    The gauge routes keep every weight nonnegative, and strictly positive
+    wherever the true weight is a normal double; a weight below the double
+    range is 0.0, and a restart from such a law is rejected.
+    """
+
+    def test_weight_without_inflow_underflows_to_zero(self, observe):
+        model = wl.FilterModel.from_raw(
+            [0.4, 0.3, 0.3],
+            [[-3.0, 1.5, 1.5], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]],
+            [0.0, 1.0, -1.0],
+        )
+        obs = observe(model, 400.0, 1e-2, 7)
+        gen, obs_map = model.generator, model.observation
+        traj = wl.filter_trajectory(model.initial, gen, obs_map, obs)
+        values = traj.values
+        assert np.all(values >= 0.0) and np.all(np.isfinite(traj.log_scale))
+        assert np.abs(values.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.all(values[:, 1:] > 0.0)
+        zeros = np.flatnonzero(values[:, 0] == 0.0)
+        assert np.array_equal(zeros, np.arange(23_933, values.shape[0]))
+        with pytest.raises(wl.NonPositiveEntryError):
+            wl.gauge_filter(values[-1], 399.0, 400.0, obs, gen, obs_map)
