@@ -4,8 +4,13 @@ closed-form bounds.
 Every experiment is a pure function of its spec: observation paths are drawn
 from per-trial spawned streams, the exact and misspecified filters consume the
 identical increments (common random numbers), and aggregation is an ordered
-reduction over trial index, so reports are bit-reproducible.  Trials advance in
-lockstep as one vectorized batch, which is the worker pool here.
+reduction over trial index, so reports are bit-reproducible.  Robustness,
+forgetting, inverse-moment and the convergence sweep share one campaign: it
+simulates the true model's paths once and advances every filter of the
+experiment on them as one lockstep stack, which is the worker pool here.  Each
+checkpoint row follows one rule (mean and 3-sigma half width against the bound
+plus the integrator allowance), and a run with a row straddling its bound is
+repeated once in full at four times the trials.
 """
 
 from __future__ import annotations
@@ -13,14 +18,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
     ConfigError,
     InsufficientTrialsError,
-    NotMixingError,
     UnknownExperimentError,
 )
 from .filters import (
@@ -33,7 +37,6 @@ from .filters import (
 from .models import (
     FilterModel,
     ModelPair,
-    RobustnessConstants,
     generator_gap,
     inverse_moment_constant,
     mixing_rate,
@@ -68,6 +71,8 @@ REFINEMENT_LADDER = (4e-3, 2e-3, 1e-3, 5e-4)
 class ExperimentSpec:
     """Everything one experiment needs: models, grid, trial count, seed, checkpoints.
 
+    Checkpoints beyond the horizon are dropped; the rest must be distinct grid nodes.
+
     ``sweep_sizes`` rescale the approximate model toward the truth (1 keeps the
     template, 0 is the truth itself); ``sweep_components`` selects which of the
     initial law, rate matrix and observation levels move.
@@ -90,8 +95,9 @@ class ExperimentSpec:
         kept = tuple(c for c in self.checkpoints if c <= self.grid.t_end + 1e-12)
         if not kept:
             raise ConfigError("no checkpoint lies on the grid horizon")
-        for c in kept:
-            self.grid.node(c)
+        nodes = [self.grid.node(c) for c in kept]
+        if len(set(nodes)) < len(nodes):
+            raise ConfigError("two checkpoints fall on the same grid node")
         object.__setattr__(self, "checkpoints", tuple(sorted(kept)))
         if self.sweep_sizes is not None:
             sizes = tuple(float(s) for s in self.sweep_sizes)
@@ -251,12 +257,8 @@ def _euler_batch_values(initial, increments, dt, generator, observation, floor=E
 
 
 def _stats(samples: np.ndarray) -> tuple[float, float]:
-    """Mean and 3-sigma CLT half width along the trial axis."""
-    m = samples.shape[0]
-    mean = float(samples.mean())
-    if m < 2:
-        return mean, 0.0
-    return mean, 3.0 * float(samples.std(ddof=1)) / math.sqrt(m)
+    """Mean and 3-sigma CLT half width along the trial axis (at least MIN_TRIALS)."""
+    return float(samples.mean()), 3.0 * float(samples.std(ddof=1)) / math.sqrt(samples.shape[0])
 
 
 def _dense_nodes(grid: TimeGrid) -> np.ndarray:
@@ -267,81 +269,120 @@ def _dense_nodes(grid: TimeGrid) -> np.ndarray:
     return nodes
 
 
-def _robustness_core(pair: ModelPair, grid: TimeGrid, n_trials: int, master_seed: int,
-                     checkpoints, allowance: float) -> dict:
-    truth, approx = pair.true_model, pair.approx_model
+def _campaign(spec: ExperimentSpec, models, n_trials: int, excursion_bound=None) -> dict:
+    """Simulate the true model's paths once and run ``models`` on them in lockstep.
+
+    Records each later model's squared l2 and l1 gap to the first at the dense
+    nodes and the checkpoints, as C-ordered (F-1, n_trials, nodes) arrays, and
+    counts per model the (trial, node) pairs where the squared gap exceeds the
+    l1 gap; records the first model's reciprocal smallest weight at the
+    checkpoints.  ``excursion_bound`` (one value per grid node) also counts the
+    (trial, node) pairs, over every node, whose l1 gap exceeds it.
+    """
+    truth = spec.pair.true_model
+    grid = spec.grid
     increments = simulate_increments_batch(
-        truth.initial, truth.generator, truth.observation, grid, master_seed, n_trials
+        truth.initial, truth.generator, truth.observation, grid, spec.master_seed, n_trials
     )
     dense = _dense_nodes(grid)
     dense_pos = {int(node): i for i, node in enumerate(dense)}
-    chk_nodes = [grid.node(c) for c in checkpoints]
-    chk_pos = {node: i for i, node in enumerate(chk_nodes)}
-    sq_dense = np.empty((n_trials, dense.shape[0]))
-    sq_chk = np.empty((n_trials, len(chk_nodes)))
-    inv_min = np.empty((n_trials, len(chk_nodes)))
-    state = {"l1_violations": 0}
-
-    def hook(k, states):
-        in_dense = k in dense_pos
-        in_chk = k in chk_pos
-        if not (in_dense or in_chk):
-            return
-        diff = states[1] - states[0]
-        sq = (diff * diff).sum(axis=1)
-        l1 = np.abs(diff).sum(axis=1)
-        state["l1_violations"] += int((sq > l1).sum())
-        if in_dense:
-            sq_dense[:, dense_pos[k]] = sq
-        if in_chk:
-            sq_chk[:, chk_pos[k]] = sq
-            inv_min[:, chk_pos[k]] = 1.0 / states[0].min(axis=1)
-
-    filters = [(truth.initial, truth.generator, truth.observation),
-               (approx.initial, approx.generator, approx.observation)]
-    for k, states in enumerate(_lockstep(filters, increments, grid.dt)):
-        hook(k, states)
-
-    constants = robustness_constants(pair)
-    gaps = {
-        "initial": float(np.abs(approx.initial - truth.initial).sum()),
-        "levels": observation_gap(truth.observation, approx.observation),
-        "rates": generator_gap(truth.generator, approx.generator),
+    chk_pos = {grid.node(c): i for i, c in enumerate(spec.checkpoints)}
+    per_model = (len(models) - 1, n_trials)
+    out = {
+        "dense_times": dense * grid.dt,
+        "sq_dense": np.empty(per_model + (len(dense),)),
+        "l1_dense": np.empty(per_model + (len(dense),)),
+        "sq_chk": np.empty(per_model + (len(chk_pos),)),
+        "l1_chk": np.empty(per_model + (len(chk_pos),)),
+        "inv_min": np.empty((n_trials, len(chk_pos))),
+        "l1_dominance": np.zeros(len(models) - 1, dtype=int),
+        "excursions": 0,
     }
-    bound = constants.c1 * gaps["initial"] + constants.c2 * gaps["levels"] + constants.c3 * gaps["rates"]
+    filters = [(m.initial, m.generator, m.observation) for m in models]
+    for k, states in enumerate(_lockstep(filters, increments, grid.dt)):
+        i, j = dense_pos.get(k), chk_pos.get(k)
+        if i is None and j is None and excursion_bound is None:
+            continue
+        diff = states[1:] - states[0]
+        l1 = np.abs(diff).sum(axis=-1)
+        if excursion_bound is not None:
+            out["excursions"] += int((l1 > excursion_bound[k]).sum())
+        if i is None and j is None:
+            continue
+        sq = (diff * diff).sum(axis=-1)
+        out["l1_dominance"] += (sq > l1).sum(axis=-1)
+        if i is not None:
+            out["sq_dense"][..., i] = sq
+            out["l1_dense"][..., i] = l1
+        if j is not None:
+            out["sq_chk"][..., j] = sq
+            out["l1_chk"][..., j] = l1
+            out["inv_min"][:, j] = 1.0 / states[0].min(axis=1)
+    return out
 
+
+def _rows(samples, key: str, checkpoints, bounds, allowance: float) -> tuple[list, bool]:
+    """One report row per checkpoint: mean and 3-sigma half width of
+    ``samples[:, i]`` against ``bounds[i]`` plus the allowance.  Also returns
+    whether a row violates its bound only through its noise band (inconclusive).
+    """
     rows = []
     inconclusive = False
-    for i, (c, node) in enumerate(zip(checkpoints, chk_nodes)):
-        mean, hw = _stats(sq_chk[:, i])
+    for i, (c, bound) in enumerate(zip(checkpoints, bounds)):
+        mean, hw = _stats(samples[:, i])
         violation = mean + hw > bound + allowance
         inconclusive = inconclusive or (violation and mean <= bound + allowance)
-        rows.append(
-            {"time": float(c), "mean_sq_error": mean, "half_width": hw,
-             "bound": float(bound), "violation": bool(violation)}
-        )
+        rows.append({"time": float(c), key: mean, "half_width": hw,
+                     "bound": float(bound), "violation": bool(violation)})
+    return rows, inconclusive
 
-    dense_mean = sq_dense.mean(axis=0)
-    sup_idx = int(np.argmax(dense_mean))
-    _, sup_hw = _stats(sq_dense[:, sup_idx])
-    inv_rows = []
-    for i, c in enumerate(checkpoints):
-        m_i, h_i = _stats(inv_min[:, i])
-        inv_rows.append({"time": float(c), "mean": m_i, "half_width": h_i})
 
-    return {
-        "rows": rows,
-        "constants": constants,
-        "gaps": gaps,
-        "bound": float(bound),
-        "sup_estimate": float(dense_mean[sup_idx]),
-        "sup_half_width": float(sup_hw),
-        "sup_time": float(dense[sup_idx] * grid.dt),
-        "dense_curve": {"time": (dense * grid.dt), "mean_sq_error": dense_mean},
-        "inverse_moment": inv_rows,
-        "l1_violations": state["l1_violations"],
-        "inconclusive": inconclusive,
-    }
+def _escalate_once(spec: ExperimentSpec, models, rule, excursion_bound=None):
+    """Run the campaign of ``models`` at the spec's trial count and apply
+    ``rule`` (campaign -> result, inconclusive); if inconclusive, re-run both
+    once in full at four times the trials.  Returns the result, its campaign
+    and trial count, and whether the run escalated.
+    """
+    for n in (spec.n_trials, 4 * spec.n_trials):
+        camp = _campaign(spec, models, n, excursion_bound)
+        result, inconclusive = rule(camp)
+        if not inconclusive:
+            break
+    return result, camp, n, n > spec.n_trials
+
+
+def _robustness_entries(spec: ExperimentSpec, camp: dict, approx_models, allowance: float):
+    """Robustness report parts of each approximate model, run in ``camp`` after
+    the truth: constants with the bound, checkpoint rows, and the
+    supremum-over-time estimate.  Also returns whether any row is inconclusive."""
+    truth = spec.pair.true_model
+    entries = []
+    inconclusive = False
+    for f, approx in enumerate(approx_models):
+        c = robustness_constants(ModelPair(true_model=truth, approx_model=approx))
+        gap_initial = float(np.abs(approx.initial - truth.initial).sum())
+        gap_levels = observation_gap(truth.observation, approx.observation)
+        gap_rates = generator_gap(truth.generator, approx.generator)
+        bound = float(c.c1 * gap_initial + c.c2 * gap_levels + c.c3 * gap_rates)
+        rows, straddles = _rows(camp["sq_chk"][f], "mean_sq_error", spec.checkpoints,
+                                [bound] * len(spec.checkpoints), allowance)
+        inconclusive = inconclusive or straddles
+        dense_mean = camp["sq_dense"][f].mean(axis=0)
+        sup = int(np.argmax(dense_mean))
+        entries.append({
+            "rows": rows,
+            "constants": {"c1": c.c1, "c2": c.c2, "c3": c.c3, "gap_initial": gap_initial,
+                          "gap_levels": gap_levels, "gap_rates": gap_rates, "bound": bound},
+            "supplementary": {
+                "sup_estimate": float(dense_mean[sup]),
+                "sup_half_width": _stats(camp["sq_dense"][f][:, sup])[1],
+                "sup_time": float(camp["dense_times"][sup]),
+                "slack_ratio": bound / max(float(dense_mean[sup]), 1e-300),
+                "dense_curve": {"time": camp["dense_times"], "mean_sq_error": dense_mean},
+                "l1_dominance_violations": int(camp["l1_dominance"][f]),
+            },
+        })
+    return entries, inconclusive
 
 
 def run_robustness_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -355,110 +396,31 @@ def run_robustness_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """
     spec.pair.require_mixing()
     allowance = _allowance(spec)
-    n = spec.n_trials
-    core = _robustness_core(spec.pair, spec.grid, n, spec.master_seed, spec.checkpoints, allowance)
-    escalated = False
-    if core["inconclusive"]:
-        escalated = True
-        n = 4 * n
-        core = _robustness_core(spec.pair, spec.grid, n, spec.master_seed, spec.checkpoints, allowance)
-
-    violations = sum(r["violation"] for r in core["rows"]) + core["l1_violations"]
-    constants: RobustnessConstants = core["constants"]
+    truth, approx = spec.pair.true_model, spec.pair.approx_model
+    (core,), camp, n, escalated = _escalate_once(
+        spec, [truth, approx], lambda camp: _robustness_entries(spec, camp, [approx], allowance)
+    )
+    inverse_moment = []
+    for i, c in enumerate(spec.checkpoints):
+        mean, hw = _stats(camp["inv_min"][:, i])
+        inverse_moment.append({"time": float(c), "mean": mean, "half_width": hw})
+    violations = sum(r["violation"] for r in core["rows"]) + core["supplementary"]["l1_dominance_violations"]
     return ExperimentReport(
         experiment="robustness",
         master_seed=spec.master_seed,
         n_trials=n,
-        constants={
-            "c1": constants.c1, "c2": constants.c2, "c3": constants.c3,
-            "beta": mixing_rate(spec.pair.approx_model.generator),
-            "gap_initial": core["gaps"]["initial"],
-            "gap_levels": core["gaps"]["levels"],
-            "gap_rates": core["gaps"]["rates"],
-            "bound": core["bound"],
-            "allowance": allowance,
-        },
+        constants={**core["constants"], "beta": mixing_rate(approx.generator), "allowance": allowance},
         table=core["rows"],
         supplementary={
-            "sup_estimate": core["sup_estimate"],
-            "sup_half_width": core["sup_half_width"],
-            "sup_time": core["sup_time"],
-            "slack_ratio": core["bound"] / max(core["sup_estimate"], 1e-300),
-            "dense_curve": core["dense_curve"],
-            "inverse_moment": core["inverse_moment"],
-            "inverse_moment_constant": inverse_moment_constant(
-                spec.pair.true_model.initial,
-                spec.pair.true_model.generator,
-                spec.pair.true_model.observation,
-            ),
-            "l1_dominance_violations": core["l1_violations"],
+            **core["supplementary"],
+            "inverse_moment": inverse_moment,
+            "inverse_moment_constant": inverse_moment_constant(truth.initial, truth.generator,
+                                                               truth.observation),
             "escalated": escalated,
         },
         violations=violations,
         config=spec_to_mapping(spec),
     )
-
-
-def _forgetting_core(spec: ExperimentSpec, n_trials: int, allowance: float) -> dict:
-    truth, approx = spec.pair.true_model, spec.pair.approx_model
-    grid = spec.grid
-    beta = mixing_rate(approx.generator)
-    mu_1, mu_2 = truth.initial, approx.initial
-    prefactor = float(np.maximum(1.0 / mu_1, 1.0 / mu_2).max() * np.abs(mu_2 - mu_1).sum())
-    increments = simulate_increments_batch(
-        truth.initial, truth.generator, truth.observation, grid, spec.master_seed, n_trials
-    )
-    dense = _dense_nodes(grid)
-    dense_pos = {int(node): i for i, node in enumerate(dense)}
-    chk_nodes = [grid.node(c) for c in spec.checkpoints]
-    chk_pos = {node: i for i, node in enumerate(chk_nodes)}
-    gap_dense = np.empty((n_trials, dense.shape[0]))
-    gap_chk = np.empty((n_trials, len(chk_nodes)))
-    state = {"pathwise_violations": 0}
-    times = grid.times
-
-    def hook(k, states):
-        gap = np.abs(states[1] - states[0]).sum(axis=1)
-        bound_k = prefactor * math.exp(-beta * times[k])
-        state["pathwise_violations"] += int((gap > bound_k + allowance).sum())
-        if k in dense_pos:
-            gap_dense[:, dense_pos[k]] = gap
-        if k in chk_pos:
-            gap_chk[:, chk_pos[k]] = gap
-
-    filters = [(mu_1, approx.generator, approx.observation),
-               (mu_2, approx.generator, approx.observation)]
-    for k, states in enumerate(_lockstep(filters, increments, grid.dt)):
-        hook(k, states)
-
-    rows = []
-    inconclusive = False
-    for i, c in enumerate(spec.checkpoints):
-        mean, hw = _stats(gap_chk[:, i])
-        bound_c = prefactor * math.exp(-beta * c)
-        violation = mean + hw > bound_c + allowance
-        inconclusive = inconclusive or (violation and mean <= bound_c + allowance)
-        rows.append(
-            {"time": float(c), "mean_gap": mean, "half_width": hw,
-             "bound": float(bound_c), "violation": bool(violation)}
-        )
-
-    mean_curve = gap_dense.mean(axis=0)
-    dense_times = dense * grid.dt
-    window = (dense_times >= 2.0) & (dense_times <= 10.0) & (mean_curve > 0.0)
-    if prefactor > 0.0 and int(window.sum()) >= 2:
-        slope = float(np.polyfit(dense_times[window], np.log(mean_curve[window]), 1)[0])
-    else:
-        slope = float("nan")
-    return {
-        "rows": rows,
-        "beta": beta,
-        "prefactor": prefactor,
-        "fitted_rate": slope,
-        "pathwise_violations": state["pathwise_violations"],
-        "decay_curve": {"time": dense_times, "mean_gap": mean_curve},
-        "inconclusive": inconclusive,
-    }
 
 
 def run_forgetting_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -469,34 +431,40 @@ def run_forgetting_experiment(spec: ExperimentSpec) -> ExperimentReport:
     forgetting bound at every grid node and fits the decay rate of the mean gap
     on the window [2, 10].
     """
-    if not spec.pair.approx_model.generator.mixing:
-        raise NotMixingError("forgetting bound needs a mixing filter rate matrix")
+    truth, approx = spec.pair.true_model, spec.pair.approx_model
+    beta = mixing_rate(approx.generator)
     allowance = _allowance(spec)
-    n = spec.n_trials
-    core = _forgetting_core(spec, n, allowance)
-    escalated = False
-    if core["inconclusive"]:
-        escalated = True
-        n = 4 * n
-        core = _forgetting_core(spec, n, allowance)
+    mu_1, mu_2 = truth.initial, approx.initial
+    prefactor = float(np.maximum(1.0 / mu_1, 1.0 / mu_2).max() * np.abs(mu_2 - mu_1).sum())
+    node_bounds = np.array([prefactor * math.exp(-beta * t) + allowance for t in spec.grid.times])
+    chk_bounds = [prefactor * math.exp(-beta * c) for c in spec.checkpoints]
+    models = [replace(approx, initial=mu_1), approx]
 
-    rate_ok = math.isnan(core["fitted_rate"]) or core["fitted_rate"] <= -core["beta"] + 0.1
-    violations = (
-        sum(r["violation"] for r in core["rows"])
-        + core["pathwise_violations"]
-        + (0 if rate_ok else 1)
+    rows, camp, n, escalated = _escalate_once(
+        spec, models,
+        lambda camp: _rows(camp["l1_chk"][0], "mean_gap", spec.checkpoints, chk_bounds, allowance),
+        node_bounds,
     )
+    mean_curve = camp["l1_dense"][0].mean(axis=0)
+    dense_times = camp["dense_times"]
+    window = (dense_times >= 2.0) & (dense_times <= 10.0) & (mean_curve > 0.0)
+    if prefactor > 0.0 and int(window.sum()) >= 2:
+        fitted_rate = float(np.polyfit(dense_times[window], np.log(mean_curve[window]), 1)[0])
+    else:
+        fitted_rate = float("nan")
+    rate_ok = math.isnan(fitted_rate) or fitted_rate <= -beta + 0.1
+    violations = sum(r["violation"] for r in rows) + camp["excursions"] + (0 if rate_ok else 1)
     return ExperimentReport(
         experiment="forgetting",
         master_seed=spec.master_seed,
         n_trials=n,
-        constants={"beta": core["beta"], "prefactor": core["prefactor"], "allowance": allowance},
-        table=core["rows"],
+        constants={"beta": beta, "prefactor": prefactor, "allowance": allowance},
+        table=rows,
         supplementary={
-            "fitted_rate": core["fitted_rate"],
+            "fitted_rate": fitted_rate,
             "rate_within_bound": bool(rate_ok),
-            "pathwise_violations": core["pathwise_violations"],
-            "decay_curve": core["decay_curve"],
+            "pathwise_violations": camp["excursions"],
+            "decay_curve": {"time": dense_times, "mean_gap": mean_curve},
             "escalated": escalated,
         },
         violations=violations,
@@ -504,54 +472,18 @@ def run_forgetting_experiment(spec: ExperimentSpec) -> ExperimentReport:
     )
 
 
-def _inverse_moment_core(spec: ExperimentSpec, n_trials: int, allowance: float) -> dict:
-    truth = spec.pair.true_model
-    grid = spec.grid
-    analytic = inverse_moment_constant(truth.initial, truth.generator, truth.observation)
-    increments = simulate_increments_batch(
-        truth.initial, truth.generator, truth.observation, grid, spec.master_seed, n_trials
-    )
-    chk_nodes = [grid.node(c) for c in spec.checkpoints]
-    chk_pos = {node: i for i, node in enumerate(chk_nodes)}
-    inv_min = np.empty((n_trials, len(chk_nodes)))
-
-    def hook(k, states):
-        if k in chk_pos:
-            inv_min[:, chk_pos[k]] = 1.0 / states[0].min(axis=1)
-
-    filters = [(truth.initial, truth.generator, truth.observation)]
-    for k, states in enumerate(_lockstep(filters, increments, grid.dt)):
-        hook(k, states)
-
-    rows = []
-    inconclusive = False
-    for i, c in enumerate(spec.checkpoints):
-        mean, hw = _stats(inv_min[:, i])
-        violation = mean + hw > analytic + allowance
-        inconclusive = inconclusive or (violation and mean <= analytic + allowance)
-        rows.append(
-            {"time": float(c), "mean": mean, "half_width": hw,
-             "bound": float(analytic), "violation": bool(violation)}
-        )
-    return {"rows": rows, "analytic": analytic, "inconclusive": inconclusive}
-
-
 def run_inverse_moment_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Expected reciprocal of the smallest filter weight against its uniform bound."""
-    if not spec.pair.true_model.generator.mixing:
-        raise NotMixingError("inverse-moment bound needs a mixing true rate matrix")
+    truth = spec.pair.true_model
+    analytic = inverse_moment_constant(truth.initial, truth.generator, truth.observation)
     allowance = _allowance(spec)
-    n = spec.n_trials
-    core = _inverse_moment_core(spec, n, allowance)
-    escalated = False
-    if core["inconclusive"]:
-        escalated = True
-        n = 4 * n
-        core = _inverse_moment_core(spec, n, allowance)
-
-    estimates = [r["mean"] for r in core["rows"]]
-    peak = max(estimates)
-    late = {r["time"]: r for r in core["rows"]}
+    rows, _, n, escalated = _escalate_once(
+        spec, [truth],
+        lambda camp: _rows(camp["inv_min"], "mean", spec.checkpoints,
+                           [analytic] * len(spec.checkpoints), allowance),
+    )
+    peak = max(r["mean"] for r in rows)
+    late = {r["time"]: r for r in rows}
     stationarity = None
     if 10.0 in late and 20.0 in late:
         drift = abs(late[20.0]["mean"] - late[10.0]["mean"])
@@ -559,22 +491,20 @@ def run_inverse_moment_experiment(spec: ExperimentSpec) -> ExperimentReport:
             "drift": drift,
             "within_noise": bool(drift <= 2.0 * (late[10.0]["half_width"] + late[20.0]["half_width"])),
         }
-    violations = sum(r["violation"] for r in core["rows"])
-    truth = spec.pair.true_model
     return ExperimentReport(
         experiment="inverse-moment",
         master_seed=spec.master_seed,
         n_trials=n,
-        constants={"bound": core["analytic"], "allowance": allowance},
-        table=core["rows"],
+        constants={"bound": analytic, "allowance": allowance},
+        table=rows,
         supplementary={
             "peak_estimate": float(peak),
-            "slack_ratio": core["analytic"] / max(peak, 1e-300),
+            "slack_ratio": analytic / max(peak, 1e-300),
             "initial_exact": float(1.0 / truth.initial.min()),
             "stationarity": stationarity,
             "escalated": escalated,
         },
-        violations=violations,
+        violations=sum(r["violation"] for r in rows),
         config=spec_to_mapping(spec),
     )
 
@@ -582,39 +512,38 @@ def run_inverse_moment_experiment(spec: ExperimentSpec) -> ExperimentReport:
 def run_convergence_sweep(spec: ExperimentSpec) -> ExperimentReport:
     """Sup-over-time error as the perturbed model interpolates toward the truth.
 
-    Reuses the master seed for every sweep entry, so all entries share the same
-    observation paths and the error curve is monotone up to Monte Carlo noise.
+    Simulates the observation paths once and runs the truth and every sweep
+    entry's model on them as one stack, so all entries share the same paths
+    and the error curve is monotone up to Monte Carlo noise.  The entry at
+    size 0 is the truth itself, so its errors are exactly 0.0.
     """
     if spec.sweep_sizes is None:
         raise ConfigError("convergence sweep needs sweep_sizes in the spec")
     spec.pair.require_mixing()
     allowance = _allowance(spec)
     sizes = (0.0,) + spec.sweep_sizes
+    models = [interpolate_pair(spec.pair, size, spec.sweep_components).approx_model for size in sizes]
+    camp = _campaign(spec, [spec.pair.true_model, *models], spec.n_trials)
+    cores, _ = _robustness_entries(spec, camp, models, allowance)
     entries = []
     violations = 0
-    for size in sizes:
-        pair_s = interpolate_pair(spec.pair, size, spec.sweep_components)
-        core = _robustness_core(pair_s, spec.grid, spec.n_trials, spec.master_seed,
-                                spec.checkpoints, allowance)
+    for size, core in zip(sizes, cores):
+        sup = core["supplementary"]
         checkpoint_violations = sum(r["violation"] for r in core["rows"])
-        violations += checkpoint_violations + core["l1_violations"]
-        entries.append(
-            {"size": float(size), "sup_error": core["sup_estimate"],
-             "half_width": core["sup_half_width"], "bound": core["bound"],
-             "checkpoint_violations": checkpoint_violations}
-        )
+        violations += checkpoint_violations + sup["l1_dominance_violations"]
+        entries.append({"size": float(size), "sup_error": sup["sup_estimate"],
+                        "half_width": sup["sup_half_width"], "bound": core["constants"]["bound"],
+                        "checkpoint_violations": checkpoint_violations})
 
     floor = entries[0]["sup_error"]
-    ordered = sorted(entries[1:], key=lambda e: -e["size"])
+    ordered = entries[1:]  # sweep sizes are validated decreasing
     for a, b in zip(ordered, ordered[1:]):
         monotone = b["sup_error"] <= a["sup_error"] + 2.0 * (a["half_width"] + b["half_width"])
-        if not monotone:
-            violations += 1
+        violations += int(not monotone)
         b["monotone_within_noise"] = bool(monotone)
     final = ordered[-1]
     final_ok = final["sup_error"] <= 2.0 * floor + final["bound"] + allowance
-    if not final_ok:
-        violations += 1
+    violations += int(not final_ok)
     ratios = [
         {"from_size": a["size"], "to_size": b["size"],
          "error_ratio": a["sup_error"] / max(b["sup_error"], 1e-300)}

@@ -140,6 +140,13 @@ class TestCliRun:
         assert code == 1
         assert "NotMixing" in capsys.readouterr().err
 
+    def test_duplicate_checkpoint_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "dup.yaml"
+        path.write_text(GOOD_CONFIG.replace("checkpoints: [0.0, 1.0, 2.0]", "checkpoints: [0.0, 1.0, 1.0]"))
+        code = main(["run", str(path), "forgetting", "--out", str(tmp_path)])
+        assert code == 1
+        assert "ConfigError" in capsys.readouterr().err
+
     def test_unreadable_config_exits_one(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "absent.yaml"), "forgetting"])
         assert code == 1

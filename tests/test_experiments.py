@@ -1,13 +1,30 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import wonhamlab as wl
+import wonhamlab.experiments as experiments
 
 
 @pytest.fixture(scope="module")
 def small_pair(ref_model):
     approx = wl.FilterModel.from_raw([0.45, 0.55], [[-1.1, 1.1], [0.9, -0.9]], [0.0, 1.05])
     return wl.ModelPair(true_model=ref_model, approx_model=approx)
+
+
+def count_simulations(monkeypatch):
+    """Record the trial count of every batch simulation the experiments module makes."""
+    calls = []
+    real = experiments.simulate_increments_batch
+
+    def counted(initial, generator, observation, grid, master_seed, n_trials):
+        calls.append(n_trials)
+        return real(initial, generator, observation, grid, master_seed, n_trials)
+
+    monkeypatch.setattr(experiments, "simulate_increments_batch", counted)
+    return calls
 
 
 def make_spec(pair, t_end=5.0, n_trials=120, seed=314, checkpoints=(0.0, 0.5, 1.0, 2.0, 5.0),
@@ -37,6 +54,12 @@ class TestExperimentSpec:
                 pair=small_pair, grid=wl.TimeGrid(1.0, 0.1), n_trials=100,
                 master_seed=1, checkpoints=(0.0, 1.0),
             )
+
+    @pytest.mark.parametrize("checkpoints", [(0.0, 1.0, 1.0), (0.0, 1.0, 1.0 + 1e-10)])
+    def test_rejects_checkpoints_sharing_a_node(self, small_pair, checkpoints):
+        # Two checkpoints on one node would leave a recorded column unwritten.
+        with pytest.raises(wl.ConfigError):
+            make_spec(small_pair, t_end=2.0, checkpoints=checkpoints)
 
     def test_drops_checkpoints_beyond_horizon(self, small_pair):
         spec = make_spec(small_pair, t_end=2.0, checkpoints=(0.0, 1.0, 2.0, 5.0, 10.0))
@@ -102,11 +125,57 @@ class TestRobustnessExperiment:
         assert rows[10.0]["mean_sq_error"] < rows[0.5]["mean_sq_error"]
         assert report.violations == 0
 
-    def test_determinism(self, small_pair):
-        spec = make_spec(small_pair, t_end=2.0, n_trials=100, checkpoints=(0.0, 1.0, 2.0))
-        first = wl.run_robustness_experiment(spec)
-        second = wl.run_robustness_experiment(spec)
+    @pytest.mark.parametrize("name", ["robustness", "forgetting", "inverse-moment", "convergence-sweep"])
+    def test_determinism(self, small_pair, name):
+        spec = make_spec(small_pair, t_end=2.0, n_trials=100, checkpoints=(0.0, 1.0, 2.0),
+                         sweep_sizes=(0.2, 0.1))
+        first = wl.run_experiment(name, spec)
+        second = wl.run_experiment(name, spec)
         assert first.to_json() == second.to_json()
+
+
+def _straddle(row, key):
+    """A bound the row's mean stays under while mean + half width exceeds it."""
+    assert row["half_width"] > 0.0
+    return row[key] + 0.5 * row["half_width"]
+
+
+def _force_robustness(monkeypatch, report):
+    target = _straddle(report.table[-1], "mean_sq_error")
+    c1 = target / report.constants["gap_initial"]
+    monkeypatch.setattr(experiments, "robustness_constants", lambda pair: wl.RobustnessConstants(c1, 0.0, 0.0))
+
+
+def _force_forgetting(monkeypatch, report):
+    row = report.table[-1]
+    beta = -math.log(_straddle(row, "mean_gap") / report.constants["prefactor"]) / row["time"]
+    monkeypatch.setattr(experiments, "mixing_rate", lambda generator: beta)
+
+
+def _force_inverse_moment(monkeypatch, report):
+    target = _straddle(report.table[-1], "mean")
+    monkeypatch.setattr(experiments, "inverse_moment_constant", lambda *args: target)
+
+
+FORCE_STRADDLE = {
+    "robustness": _force_robustness,
+    "forgetting": _force_forgetting,
+    "inverse-moment": _force_inverse_moment,
+}
+
+
+@pytest.mark.parametrize("name", list(FORCE_STRADDLE))
+def test_straddled_bound_escalates_once(small_pair, monkeypatch, name):
+    spec = make_spec(small_pair, t_end=2.0, n_trials=100, checkpoints=(0.0, 1.0, 2.0),
+                     strict_tolerance=True)
+    first = wl.run_experiment(name, spec)
+    assert not first.supplementary["escalated"]
+    FORCE_STRADDLE[name](monkeypatch, first)
+    calls = count_simulations(monkeypatch)
+    report = wl.run_experiment(name, spec)
+    assert report.supplementary["escalated"]
+    assert report.n_trials == 4 * spec.n_trials
+    assert calls == [spec.n_trials, 4 * spec.n_trials]
 
 
 class TestForgettingExperiment:
@@ -144,14 +213,6 @@ class TestInverseMomentExperiment:
             assert row["mean"] + row["half_width"] <= 6.0 + report.constants["allowance"]
         assert report.supplementary["stationarity"] is not None
 
-    def test_determinism(self, ref_model):
-        pair = wl.ModelPair(true_model=ref_model, approx_model=ref_model)
-        spec = make_spec(pair, t_end=2.0, n_trials=100, checkpoints=(0.0, 2.0))
-        assert (
-            wl.run_inverse_moment_experiment(spec).to_json()
-            == wl.run_inverse_moment_experiment(spec).to_json()
-        )
-
 
 class TestConvergenceSweep:
     def test_requires_sweep_sizes(self, small_pair):
@@ -170,6 +231,20 @@ class TestConvergenceSweep:
         # halving the perturbation roughly halves the error; wide factor 3
         for ratio in report.supplementary["halving_ratios"]:
             assert ratio["error_ratio"] < 3.0 * 4.0
+
+    def test_one_simulation_matches_robustness_runs(self, small_pair, monkeypatch):
+        spec = make_spec(small_pair, t_end=2.0, n_trials=100, checkpoints=(0.0, 1.0, 2.0),
+                         sweep_sizes=(0.5, 0.1))
+        calls = count_simulations(monkeypatch)
+        report = wl.run_convergence_sweep(spec)
+        assert calls == [spec.n_trials]
+        for entry in report.table[1:]:
+            pair = wl.interpolate_pair(small_pair, entry["size"], spec.sweep_components)
+            single = wl.run_robustness_experiment(dataclasses.replace(spec, pair=pair))
+            assert not single.supplementary["escalated"]
+            assert entry["sup_error"] == single.supplementary["sup_estimate"]
+            assert entry["half_width"] == single.supplementary["sup_half_width"]
+            assert entry["bound"] == single.constants["bound"]
 
 
 class TestDerivativeAudit:
