@@ -57,7 +57,7 @@ def write_report(report: ExperimentReport, out_dir: Path) -> tuple[Path, Path]:
         fh.write(f"# violations: {report.violations}\n")
         fh.write(f"# config: {json.dumps(report.config, sort_keys=True)}\n")
         if report.table:
-            columns = list(report.table[0].keys())
+            columns = list(dict.fromkeys(key for row in report.table for key in row))
             writer = csv.DictWriter(fh, fieldnames=columns)
             writer.writeheader()
             for row in report.table:

@@ -33,6 +33,7 @@ from .filters import (
     _scan_path,
     propagate_cell_matrix,
     split_rate_matrix,
+    wonham_step,
 )
 from .models import (
     FilterModel,
@@ -243,16 +244,9 @@ def _allowance(spec: ExperimentSpec) -> float:
 
 def _euler_batch_values(initial, increments, dt, generator, observation, floor=EULER_FLOOR):
     """Endpoint of the Euler diagnostic route for a batch of paths."""
-    lam = generator.entries
-    levels = observation.levels
-    m = increments.shape[0]
-    pi = np.broadcast_to(np.asarray(initial, dtype=float), (m, lam.shape[0])).copy()
+    pi = np.broadcast_to(np.asarray(initial, dtype=float), (increments.shape[0], generator.d)).copy()
     for k in range(increments.shape[1]):
-        drift = pi @ lam
-        gain = levels[None, :] - (pi @ levels)[:, None]
-        pi = pi + drift * dt + pi * gain * (increments[:, k, None] - (pi @ levels)[:, None] * dt)
-        pi = np.clip(pi, floor, None)
-        pi /= pi.sum(axis=1, keepdims=True)
+        pi = wonham_step(pi, increments[:, k], dt, generator, observation, floor)
     return pi
 
 

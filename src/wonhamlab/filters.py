@@ -6,29 +6,32 @@ with an entrywise-nonnegative coefficient matrix (diagonal gauge change), which
 keeps every iterate nonnegative by construction, and strictly positive wherever
 the true weight is a normal double (with no rate into a state, its weight can
 underflow to 0.0).  Each grid cell is solved with one classical RK4 step,
-holding the observation path piecewise linear inside the cell.  The propagator
-route (``zakai_flow``) integrates the same linear equation column-wise with the
-same cell kernel.
+holding the observation path piecewise linear inside the cell.  There is one
+cell kernel, ``propagate_cell``; the propagator route (``zakai_flow``) advances
+matrices with it column-wise, as the rows of their transpose.
 
 The per-cell maps of the linear equation do not depend on the state, so their
-products are associative.  Every recursion along one observation path
-(``filter_trajectory``, ``gauge_filter``, ``zakai_flow`` and the step-halving
-probe) runs through one blocked prefix-scan driver: per block of cells, one
-kernel call on the broadcast identity gives the block's maps, a Hillis-Steele
-scan forms their products rescaled to unit mass with the log masses summed
-apart, and the products are applied to the carried vector or matrix, whose last
-node and log mass carry into the next block.  Monte Carlo batches instead stack
-the filters that share their paths, each with its own model, and advance the
-stack cell by cell with one kernel call per cell: there one call already covers
-many paths, and the scan's extra matrix products per cell would cost more than
-the calls it saves.
+products are associative.  Every recursion along one observation path runs
+through one blocked prefix-scan driver: ``filter_trajectory``, ``gauge_filter``,
+``zakai_flow``, the step-halving probe, and the trajectories of the robustness
+inequality and the error-representation check.  Per block of cells, one kernel
+call on the broadcast identity gives the block's maps, a Hillis-Steele scan
+forms their products rescaled to unit mass with the log masses summed apart,
+and the products are applied to the carried vector or matrix, whose last node
+and log mass carry into the next block.  The endpoint flows of those two checks
+are the same scan run on the reversed, transposed maps.  Monte Carlo batches
+instead stack the filters that share their paths, each with its own model, and
+advance the stack with one kernel call per cell: there one call already covers
+many paths, and the scan's extra matrix products would cost more than the
+calls it saves.  ``_trajectories`` makes that choice from the number of paths.
 
 Two routes solve the nonlinear, normalized equation instead.  The projected
 route (``projected_filter_trajectory``) takes one RK4 step of its Wong-Zakai
 form on the same observation polygon; it shares no code with the gauge kernel
 and is the independent check of the reference integrator.  The explicit Euler
-step of the Ito form (``wonham_step``, ``euler_filter_trajectory``) is a
-diagnostic-only route of strong order 1/2, kept for step-size studies.
+step of the Ito form (``wonham_step``, batched over leading axes; one call per
+cell in ``euler_filter_trajectory``) is a diagnostic-only route of strong
+order 1/2, kept for step-size studies.
 """
 
 from __future__ import annotations
@@ -120,6 +123,13 @@ def propagate_cell(values, d_y, dt, s_diag, t_off, levels) -> np.ndarray:
     e_half = np.exp(c * (0.5 * dt))
     e_full = np.exp(c * dt)
     t_rows = np.swapaxes(t_off, -1, -2)
+    shape = None
+    if t_off.ndim == 2 and np.ndim(values) > 2:
+        # One model over several leading axes: make them the rows of one (rows, d) @ (d, d)
+        # product, where a stacked matmul would loop over many small ones.
+        shape = np.broadcast_shapes(np.shape(values), e_full.shape)
+        values, e_half, e_full = (np.broadcast_to(a, shape).reshape(-1, shape[-1])
+                                  for a in (values, e_half, e_full))
 
     def coeff(f, e):
         return e * ((f / e) @ t_rows)
@@ -128,23 +138,16 @@ def propagate_cell(values, d_y, dt, s_diag, t_off, levels) -> np.ndarray:
     k2 = coeff(values + (0.5 * dt) * k1, e_half)
     k3 = coeff(values + (0.5 * dt) * k2, e_half)
     k4 = coeff(values + dt * k3, e_full)
-    return (values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) / e_full
+    out = (values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) / e_full
+    return out if shape is None else out.reshape(shape)
 
 
 def propagate_cell_matrix(matrices, d_y, dt, s_diag, t_off, levels) -> np.ndarray:
-    """Advance propagator matrices (..., d, d) across one grid cell, column-wise."""
-    c = _gauge_exponents(d_y, dt, s_diag, levels)[..., :, None]
-    e_half = np.exp(c * (0.5 * dt))
-    e_full = np.exp(c * dt)
-
-    def coeff(f, e):
-        return e * (t_off @ (f / e))
-
-    k1 = t_off @ matrices
-    k2 = coeff(matrices + (0.5 * dt) * k1, e_half)
-    k3 = coeff(matrices + (0.5 * dt) * k2, e_half)
-    k4 = coeff(matrices + dt * k3, e_full)
-    return (matrices + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) / e_full
+    """Advance propagator matrices (..., d, k) across one grid cell, column-wise:
+    the k columns are advanced as the rows of their transpose."""
+    rows = np.swapaxes(matrices, -1, -2)
+    d_y = np.asarray(d_y, dtype=float)[..., None]
+    return np.swapaxes(propagate_cell(rows, d_y, dt, s_diag, t_off, levels), -1, -2)
 
 
 def _cell_maps(increments, dt, s_diag, t_off, levels) -> np.ndarray:
@@ -156,19 +159,20 @@ def _cell_maps(increments, dt, s_diag, t_off, levels) -> np.ndarray:
 
 
 def _prefix_products(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Hillis-Steele inclusive scan of maps (n, d, d): entry k of the result is
-    # maps[k] @ ... @ maps[0] rescaled to unit mass, with its log mass kept
-    # apart.  Every partial product is renormalized at every level, so the
-    # mass neither over- nor underflows however many cells the block holds.
-    mass = maps.sum(axis=(1, 2))
-    prods = maps / mass[:, None, None]
+    # Hillis-Steele inclusive scan of maps (..., n, d, d) along the cell axis:
+    # entry k of the result is maps[k] @ ... @ maps[0] rescaled to unit mass,
+    # with its log mass kept apart.  Every partial product is renormalized at
+    # every level, so the mass neither over- nor underflows however many cells
+    # the scan holds.
+    mass = maps.sum(axis=(-2, -1))
+    prods = maps / mass[..., None, None]
     logs = np.log(mass)
     shift = 1
-    while shift < prods.shape[0]:
-        joined = prods[shift:] @ prods[:-shift]
-        mass = joined.sum(axis=(1, 2))
-        logs[shift:] = logs[shift:] + logs[:-shift] + np.log(mass)
-        prods[shift:] = joined / mass[:, None, None]
+    while shift < prods.shape[-3]:
+        joined = prods[..., shift:, :, :] @ prods[..., :-shift, :, :]
+        mass = joined.sum(axis=(-2, -1))
+        logs[..., shift:] = logs[..., shift:] + logs[..., :-shift] + np.log(mass)
+        prods[..., shift:, :, :] = joined / mass[..., None, None]
         shift *= 2
     return prods, logs
 
@@ -201,6 +205,14 @@ def _scan_path(state, increments, dt, s_diag, t_off, levels):
         state, carried_log = images[-1], logs[-1]
 
 
+def _scan_nodes(state, increments, dt, s_diag, t_off, levels) -> tuple[np.ndarray, np.ndarray]:
+    """``state`` and its unit-mass images at every node of one path, stacked
+    along a new first axis, with their log masses relative to ``state``."""
+    blocks = list(_scan_path(state, increments, dt, s_diag, t_off, levels))
+    values = np.concatenate([np.asarray(state, dtype=float)[None], *(images for images, _ in blocks)])
+    return values, np.concatenate([[0.0], *(logs for _, logs in blocks)])
+
+
 def _lockstep(filters, increments, dt):
     """Run (initial, generator, observation) ``filters`` in lockstep on every
     path of ``increments`` (m, n), one kernel call per cell for the whole stack.
@@ -218,6 +230,19 @@ def _lockstep(filters, increments, dt):
         states = propagate_cell(states, increments[:, k], dt, s_diag, t_off, levels)
         states /= states.sum(axis=-1, keepdims=True)
         yield states
+
+
+def _trajectories(filters, increments, dt) -> np.ndarray:
+    """Values (F, m, n + 1, d) of (initial, generator, observation) ``filters``
+    at every node of every path of ``increments`` (m, n), unit mass after node 0.
+
+    The one place that picks the driver from the number of paths: one path
+    runs each filter through the prefix scan, a batch advances them in lockstep.
+    """
+    if increments.shape[0] == 1:
+        return np.stack([_scan_nodes(mu, increments[0], dt, *split_rate_matrix(g), o.levels)[0]
+                         for mu, g, o in filters])[:, None]
+    return np.stack(list(_lockstep(filters, increments, dt)), axis=2)
 
 
 def cell_propagators(increments, dt, generator: GeneratorMatrix, observation: ObservationMap) -> np.ndarray:
@@ -287,49 +312,39 @@ def filter_trajectory(initial, generator: GeneratorMatrix, observation: Observat
                       obs: ObservationPath, tag: str = "true") -> FilterTrajectory:
     """Run the reference integrator over the whole grid from the given initial law."""
     pi0 = validate_simplex(initial)
-    grid = obs.grid
     s_diag, t_off = split_rate_matrix(generator)
-    n = grid.n_steps
-    values = np.empty((n + 1, generator.d))
-    log_scale = np.empty(n + 1)
-    values[0] = pi0
-    log_scale[0] = 0.0
-    node = 1
-    for images, logs in _scan_path(pi0, obs.increments, grid.dt, s_diag, t_off, observation.levels):
-        values[node:node + len(logs)] = images
-        log_scale[node:node + len(logs)] = logs
-        node += len(logs)
-    return FilterTrajectory(grid=grid, values=values, log_scale=log_scale, tag=tag, initial=pi0)
+    values, log_scale = _scan_nodes(pi0, obs.increments, obs.grid.dt, s_diag, t_off, observation.levels)
+    return FilterTrajectory(grid=obs.grid, values=values, log_scale=log_scale, tag=tag, initial=pi0)
 
 
-def wonham_step(pi, d_y: float, dt: float, generator: GeneratorMatrix,
+def wonham_step(pi, d_y, dt: float, generator: GeneratorMatrix,
                 observation: ObservationMap, floor: float = EULER_FLOOR) -> np.ndarray:
     """One explicit Euler step of the nonlinear filter equation, then projection.
 
-    Diagnostic route only; components are clipped at ``floor`` and renormalized.
-    A post-step component below -0.5 signals gross instability (dt too large).
+    Batched: ``pi`` has shape (..., d) and ``d_y`` broadcasts over its leading
+    axes.  Diagnostic route only; components are clipped at ``floor`` and
+    renormalized.  A post-step component below -0.5 signals gross instability
+    (dt too large).
     """
     pi = np.asarray(pi, dtype=float)
     levels = observation.levels
-    m = float(levels @ pi)
-    step = pi + generator.drift_transpose @ pi * dt + pi * (levels - m) * (d_y - m * dt)
-    if np.any(step < -0.5):
-        raise StateCollapseError(f"Euler step produced component {step.min():.3f}; reduce dt")
-    step = np.clip(step, floor, None)
-    return step / step.sum()
+    m = (pi @ levels)[..., None]
+    step = pi + (pi @ generator.entries) * dt + pi * (levels - m) * (np.asarray(d_y)[..., None] - m * dt)
+    lowest = step.min()
+    if lowest < -0.5:
+        raise StateCollapseError(f"Euler step produced component {lowest:.3f}; reduce dt")
+    step = np.maximum(step, floor)
+    return step / step.sum(axis=-1, keepdims=True)
 
 
 def euler_filter_trajectory(initial, generator: GeneratorMatrix, observation: ObservationMap,
                             obs: ObservationPath, floor: float = EULER_FLOOR) -> np.ndarray:
     """Euler diagnostic route over the whole grid; returns values at every node."""
     pi = validate_simplex(initial)
-    grid = obs.grid
-    values = np.empty((grid.n_steps + 1, generator.d))
+    values = np.empty((obs.grid.n_steps + 1, generator.d))
     values[0] = pi
-    pi = np.array(pi)
-    for k in range(grid.n_steps):
-        pi = wonham_step(pi, obs.increments[k], grid.dt, generator, observation, floor)
-        values[k + 1] = pi
+    for k, d_y in enumerate(obs.increments):
+        pi = values[k + 1] = wonham_step(pi, d_y, obs.grid.dt, generator, observation, floor)
     return values
 
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ObservationMismatchError
 from .filters import (
-    _lockstep,
+    _prefix_products,
+    _trajectories,
     cell_propagators,
     normalize_second_derivative,
     zakai_flow,
@@ -196,29 +197,16 @@ def _endpoint_flows(propagators: np.ndarray) -> np.ndarray:
     """Unit-mass propagators from every grid node to the final node.
 
     ``propagators`` holds the per-cell maps, shape (..., n, d, d); the result has
-    shape (..., n + 1, d, d) with the identity in the last slot.
+    shape (..., n + 1, d, d) with the identity in the last slot.  A suffix scan:
+    the prefix products of the reversed, transposed maps are the transposed
+    products from each node to the end.
     """
-    lead = propagators.shape[:-3]
     n, d = propagators.shape[-3], propagators.shape[-1]
-    out = np.empty(lead + (n + 1, d, d))
-    current = np.broadcast_to(np.eye(d), lead + (d, d)).copy()
-    out[..., n, :, :] = current
-    for k in range(n - 1, -1, -1):
-        current = current @ propagators[..., k, :, :]
-        current = current / current.sum(axis=(-1, -2), keepdims=True)
-        out[..., k, :, :] = current
+    out = np.empty(propagators.shape[:-3] + (n + 1, d, d))
+    out[..., n, :, :] = np.eye(d)
+    prods, _ = _prefix_products(np.swapaxes(propagators[..., ::-1, :, :], -1, -2))
+    out[..., :n, :, :] = np.swapaxes(prods[..., ::-1, :, :], -1, -2)
     return out
-
-
-def _vector_trajectory_batch(initials, increments, dt, generators, observation) -> np.ndarray:
-    """Normalized values at every node, (F, m, n+1, d), of filters i started
-    from ``initials[i]`` with ``generators[i]``, for a batch of paths."""
-    m, n = increments.shape
-    values = np.empty((len(initials), m, n + 1, observation.d))
-    nodes = _lockstep([(mu, g, observation) for mu, g in zip(initials, generators)], increments, dt)
-    for k, states in enumerate(nodes):
-        values[:, :, k] = states
-    return values
 
 
 def error_representation_check(t, obs: ObservationPath, pair: ModelPair) -> float:
@@ -234,9 +222,10 @@ def error_representation_check(t, obs: ObservationPath, pair: ModelPair) -> floa
     truth, approx = pair.true_model, pair.approx_model
     grid = obs.grid
     n = grid.node(t)
-    inc = obs.increments[None, :n]
-    breve, restarted = _vector_trajectory_batch(
-        [approx.initial] * 2, inc, grid.dt, [approx.generator, truth.generator], truth.observation
+    breve, restarted = _trajectories(
+        [(approx.initial, approx.generator, truth.observation),
+         (approx.initial, truth.generator, truth.observation)],
+        obs.increments[None, :n], grid.dt,
     )[:, 0]
     props = cell_propagators(obs.increments[:n], grid.dt, truth.generator, truth.observation)
     flows = _endpoint_flows(props)
@@ -253,9 +242,10 @@ def _robustness_inequality_batch(increments, dt, pair: ModelPair) -> tuple[np.nd
     truth, approx = pair.true_model, pair.approx_model
     levels = truth.observation
     inc = np.atleast_2d(np.asarray(increments, dtype=float))
-    true_traj, approx_from_mu, approx_from_nu = _vector_trajectory_batch(
-        [truth.initial, approx.initial, truth.initial], inc, dt,
-        [truth.generator, approx.generator, approx.generator], levels,
+    true_traj, approx_from_mu, approx_from_nu = _trajectories(
+        [(truth.initial, truth.generator, levels), (approx.initial, approx.generator, levels),
+         (truth.initial, approx.generator, levels)],
+        inc, dt,
     )
     props = cell_propagators(inc, dt, approx.generator, levels)
     flows = _endpoint_flows(props)

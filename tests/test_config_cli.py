@@ -180,6 +180,23 @@ class TestCliRun:
         code = main(["run", str(config_file), "derivative-audit", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_csv_columns_cover_every_row_key(self, tmp_path):
+        # Sweep rows after the first carry monotone_within_noise; the CSV header
+        # is the union of the row keys in first-seen order, blank where absent.
+        path = tmp_path / "sweep.yaml"
+        path.write_text(GOOD_CONFIG.replace("checkpoints: [0.0, 1.0, 2.0]",
+                                            "checkpoints: [0.0, 1.0, 2.0]\n  sweep: [0.5, 0.25]"))
+        assert main(["run", str(path), "convergence-sweep", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "convergence-sweep-2026.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert rows[0] == ["size", "sup_error", "half_width", "bound", "checkpoint_violations",
+                           "monotone_within_noise"]
+        payload = json.loads((tmp_path / "convergence-sweep-2026.json").read_text())
+        assert [row[-1] == "" for row in rows[1:]] == [
+            "monotone_within_noise" not in entry for entry in payload["table"]
+        ]
+        assert rows[-1][-1] in ("True", "False")
+
     def test_determinism_of_written_reports(self, config_file, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import wonhamlab as wl
+from wonhamlab.experiments import _euler_batch_values
 from wonhamlab.filters import (
     _SCAN_BLOCK,
     _cell_maps,
     _lockstep,
     _prefix_products,
     _scan_path,
+    _trajectories,
     propagate_cell,
     propagate_cell_matrix,
     split_rate_matrix,
 )
+from wonhamlab.sensitivity import _endpoint_flows, derivative_from_flow, derivative_opnorm_from_flow
 
 
 class TestNormalize:
@@ -678,3 +681,157 @@ class TestNonMixingUnderflow:
         assert np.array_equal(zeros, np.arange(23_933, values.shape[0]))
         with pytest.raises(wl.NonPositiveEntryError):
             wl.gauge_filter(values[-1], 399.0, 400.0, obs, gen, obs_map)
+
+
+# -- one-path routes on the scan, the suffix scan and the batched Euler step ----
+
+ROUTE_LENGTHS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2000]
+
+
+def same_observation_model(rng, model, mixing):
+    """Random model on the state space of ``model`` with its observation levels."""
+    other = random_model(rng, model.d, mixing)
+    return wl.FilterModel(initial=other.initial, generator=other.generator,
+                          observation=model.observation)
+
+
+def backward_flows(maps):
+    """Reference endpoint flows: products from every node to the last, one cell
+    at a time from the end, renormalized at every cell."""
+    lead, n, d = maps.shape[:-3], maps.shape[-3], maps.shape[-1]
+    out = np.empty(lead + (n + 1, d, d))
+    current = np.broadcast_to(np.eye(d), lead + (d, d)).copy()
+    out[..., n, :, :] = current
+    for k in range(n - 1, -1, -1):
+        current = current @ maps[..., k, :, :]
+        current = current / current.sum(axis=(-1, -2), keepdims=True)
+        out[..., k, :, :] = current
+    return out
+
+
+def loop_euler_batch(initial, increments, dt, generator, observation, floor=wl.filters.EULER_FLOOR):
+    """Reference batch Euler route: the hand-written loop the batched step replaced."""
+    lam = generator.entries
+    levels = observation.levels
+    m = increments.shape[0]
+    pi = np.broadcast_to(np.asarray(initial, dtype=float), (m, lam.shape[0])).copy()
+    for k in range(increments.shape[1]):
+        drift = pi @ lam
+        gain = levels[None, :] - (pi @ levels)[:, None]
+        pi = pi + drift * dt + pi * gain * (increments[:, k, None] - (pi @ levels)[:, None] * dt)
+        pi = np.clip(pi, floor, None)
+        pi /= pi.sum(axis=1, keepdims=True)
+    return pi
+
+
+class TestOnePathRoutes:
+    @pytest.mark.parametrize("n", ROUTE_LENGTHS)
+    @given(model=scan_models(), mixing=st.booleans(), dt=st.sampled_from([1e-3, 1e-2]),
+           seed=st.integers(0, 999))
+    @SCAN_SETTINGS
+    def test_one_path_trajectories_match_lockstep(self, model, mixing, n, dt, seed):
+        other = random_model(np.random.default_rng(seed), model.d, mixing)
+        filters = [(m.initial, m.generator, m.observation) for m in (model, other)]
+        inc = simulated_obs(model, max(1, n), dt, seed).increments[None, :n]
+        values = _trajectories(filters, inc, dt)
+        reference = np.stack(list(_lockstep(filters, inc, dt)), axis=2)
+        assert values.shape == reference.shape == (2, 1, n + 1, model.d)
+        assert np.abs(values - reference).sum(axis=-1).max() <= 1e-12
+        assert np.all(values[reference >= np.finfo(float).tiny] > 0.0)
+        # a batch of paths keeps the lockstep driver, exactly
+        pair = np.concatenate([inc, inc[:, ::-1]])
+        assert np.array_equal(_trajectories(filters, pair, dt),
+                              np.stack(list(_lockstep(filters, pair, dt)), axis=2))
+
+    @pytest.mark.parametrize("n", ROUTE_LENGTHS)
+    @given(model=scan_models(), width=st.sampled_from([None, 1, 3]),
+           dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 999))
+    @SCAN_SETTINGS
+    def test_endpoint_flows_match_backward_loop(self, model, width, n, dt, seed):
+        """Unbatched maps (n, d, d), one path (1, n, d, d) and a small batch."""
+        rng = np.random.default_rng(seed)
+        shape = (n,) if width is None else (width, n)
+        increments = rng.normal(0.0, math.sqrt(dt), size=shape)
+        maps = _cell_maps(increments, dt, *kernel_parts(model))
+        flows = _endpoint_flows(maps)
+        reference = backward_flows(maps)
+        assert flows.shape == reference.shape == shape[:-1] + (n + 1, model.d, model.d)
+        assert np.array_equal(flows[..., n, :, :], reference[..., n, :, :])
+        assert np.abs(flows - reference).sum(axis=(-2, -1)).max() <= 1e-12
+
+    @given(d=st.integers(2, 6), width=st.integers(2, 9), split=st.integers(2, 4),
+           dt=st.sampled_from([1e-3, 4e-3]), seed=st.integers(0, 2**32 - 1))
+    @KERNEL_SETTINGS
+    def test_batched_euler_step_is_row_by_row(self, d, width, split, dt, seed):
+        """Rows step independently: a batch equals the same rows stepped in
+        sub-batches, bit for bit.  A single row passed alone goes to different
+        BLAS routines (dot and gemv instead of gemv and gemm), which round the
+        same sums apart by at most an ulp."""
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, bool(rng.integers(2)))
+        pi = rng.dirichlet(np.ones(d), size=width)
+        d_y = rng.normal(0.0, math.sqrt(dt), size=width)
+        args = (dt, model.generator, model.observation)
+        batch = wl.wonham_step(pi, d_y, *args)
+        chunks = [wl.wonham_step(pi[lo:lo + split], d_y[lo:lo + split], *args)
+                  for lo in range(0, width - split - 1, split)]
+        lo = len(chunks) * split
+        chunks.append(wl.wonham_step(pi[lo:], d_y[lo:], *args))
+        assert np.array_equal(batch, np.concatenate(chunks))
+        rows = np.array([wl.wonham_step(p, y, *args) for p, y in zip(pi, d_y)])
+        assert np.abs(rows - batch).max() <= 2.3e-16
+
+    @given(d=st.integers(2, 6), width=st.integers(1, 6), n=st.sampled_from([0, 1, 2, 37]),
+           dt=st.sampled_from([1e-3, 4e-3]), seed=st.integers(0, 2**32 - 1))
+    @KERNEL_SETTINGS
+    def test_euler_batch_matches_hand_written_loop(self, d, width, n, dt, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, bool(rng.integers(2)))
+        increments = rng.normal(0.0, math.sqrt(dt), size=(width, n))
+        args = (model.initial, increments, dt, model.generator, model.observation)
+        assert np.array_equal(_euler_batch_values(*args), loop_euler_batch(*args))
+
+    @given(model=scan_models(), mixing=st.booleans(), dt=st.sampled_from([1e-3, 1e-2]),
+           seed=st.integers(0, 999))
+    @SCAN_SETTINGS
+    def test_inequality_and_representation_at_zero_and_one_cell(self, model, mixing, dt, seed):
+        """At t = 0 both sides of the inequality are the initial gap and the
+        representation residual is 0.0.  After one cell both checks equal a
+        computation from one kernel step per filter and the two-node trapezoid."""
+        rng = np.random.default_rng(seed)
+        approx = same_observation_model(rng, model, mixing)
+        pair = wl.ModelPair(true_model=model, approx_model=approx)
+        obs = simulated_obs(model, 1, dt, seed)
+        gap = float(np.abs(model.initial - approx.initial).sum())
+
+        lhs, rhs = wl.robustness_inequality(0.0, obs, pair)
+        assert lhs == rhs == pytest.approx(gap, rel=1e-15)
+        assert wl.error_representation_check(0.0, obs, pair) == 0.0
+
+        def step(m, start):
+            out = propagate_cell(np.asarray(start, dtype=float), obs.increments[0], dt,
+                                 *kernel_parts(m))
+            return out / out.sum()
+
+        truth_1 = step(model, model.initial)
+        mu_1, nu_1 = step(approx, approx.initial), step(approx, model.initial)
+        eye = np.eye(model.d)
+        approx_map = _cell_maps(obs.increments[:1], dt, *kernel_parts(approx))[0]
+        delta = model.generator.drift_transpose - approx.generator.drift_transpose
+        integrand = [
+            float(derivative_opnorm_from_flow(flow / flow.sum(), pi)) * np.abs(delta @ pi).sum()
+            for flow, pi in ((approx_map, model.initial), (eye, truth_1))
+        ]
+        lhs, rhs = wl.robustness_inequality(dt, obs, pair)
+        assert lhs == pytest.approx(np.abs(truth_1 - mu_1).sum(), rel=1e-12, abs=1e-15)
+        expected = np.abs(nu_1 - mu_1).sum() + 0.5 * dt * sum(integrand)
+        assert rhs == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+        breve_1, restarted_1 = mu_1, step(model, approx.initial)
+        truth_map = _cell_maps(obs.increments[:1], dt, *kernel_parts(model))[0]
+        drift_gap = approx.generator.drift_transpose - model.generator.drift_transpose
+        parts = [derivative_from_flow(flow / flow.sum(), pi, drift_gap @ pi)
+                 for flow, pi in ((truth_map, approx.initial), (eye, breve_1))]
+        residual = np.abs(breve_1 - restarted_1 - 0.5 * dt * (parts[0] + parts[1])).sum()
+        assert wl.error_representation_check(dt, obs, pair) == pytest.approx(residual, rel=1e-9,
+                                                                             abs=1e-15)
