@@ -22,6 +22,9 @@ One YAML file describes one model pair plus experiment defaults:
       strict_tolerance: false                  # optional
 
 Matrices are row lists.  Scalar fields can be overridden from the command line.
+Fields are not coerced: the trial count and the seed must be whole numbers,
+the flag true or false, and the checkpoints, sweep sizes and components lists;
+anything else raises ConfigError.
 """
 
 from __future__ import annotations
@@ -34,6 +37,28 @@ from .errors import ConfigError, WonhamLabError
 from .experiments import DEFAULT_CHECKPOINTS, ExperimentSpec
 from .models import FilterModel, ModelPair
 from .simulate import TimeGrid
+
+
+def _whole(section: dict, key: str, default: int) -> int:
+    value = section.get(key, default)
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _flag(section: dict, key: str, default: bool) -> bool:
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _listed(section: dict, key: str, default=None):
+    value = section.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -65,12 +90,13 @@ class RunConfig:
             return cls(
                 pair=pair,
                 grid=time_grid,
-                n_trials=int(experiment.get("n_trials", 100)),
-                master_seed=int(experiment.get("seed", 0)),
-                checkpoints=tuple(float(c) for c in experiment.get("checkpoints", DEFAULT_CHECKPOINTS)),
-                sweep_sizes=None if sweep is None else tuple(float(s) for s in sweep),
-                sweep_components=tuple(experiment.get("sweep_components", ("initial", "generator", "levels"))),
-                strict_tolerance=bool(experiment.get("strict_tolerance", False)),
+                n_trials=_whole(experiment, "n_trials", 100),
+                master_seed=_whole(experiment, "seed", 0),
+                checkpoints=tuple(float(c) for c in _listed(experiment, "checkpoints", DEFAULT_CHECKPOINTS)),
+                sweep_sizes=None if sweep is None else tuple(float(s) for s in _listed(experiment, "sweep")),
+                sweep_components=tuple(_listed(experiment, "sweep_components",
+                                               ("initial", "generator", "levels"))),
+                strict_tolerance=_flag(experiment, "strict_tolerance", False),
             )
         except WonhamLabError:
             raise

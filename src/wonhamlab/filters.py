@@ -20,10 +20,17 @@ forms their products rescaled to unit mass with the log masses summed apart,
 and the products are applied to the carried vector or matrix, whose last node
 and log mass carry into the next block.  The endpoint flows of those two checks
 are the same scan run on the reversed, transposed maps.  Monte Carlo batches
-instead stack the filters that share their paths, each with its own model, and
-advance the stack with one kernel call per cell: there one call already covers
-many paths, and the scan's extra matrix products would cost more than the
-calls it saves.  ``_trajectories`` makes that choice from the number of paths.
+instead advance the filters that share their paths in lockstep, with one
+kernel call per cell: there one call already covers many paths, and the scan's
+extra matrix products would cost more than the calls it saves.
+``_trajectories`` makes that choice from the number of paths.  The
+unnormalized equations of different models do not couple, so ``_lockstep``
+runs a stack of F models with d states each as one model with F * d states:
+the diagonal rates and levels concatenated, the F off-diagonal blocks on the
+diagonal of one (F * d, F * d) matrix.  Each RK4 stage is then one 2-D matrix
+product over the paths, and each node renormalizes every block by one product
+with the block-diagonal matrix of ones.  The exact zeros off the blocks add
+nothing to any sum.
 
 Two routes solve the nonlinear, normalized equation instead.  The projected
 route (``projected_filter_trajectory``) takes one RK4 step of its Wong-Zakai
@@ -115,9 +122,14 @@ def propagate_cell(values, d_y, dt, s_diag, t_off, levels) -> np.ndarray:
     """Advance unnormalized filter vectors across one grid cell (RK4 on the gauge ODE).
 
     ``values`` has shape (..., d) and ``d_y`` broadcasts over the leading axes.
-    One call advances F stacked models: ``values`` (F, m, d) with ``s_diag``
-    and ``levels`` (F, 1, d) and ``t_off`` (F, d, d).  The image is entrywise
-    positive whenever the input is, unless a weight underflows to 0.0.
+    With one model (``t_off`` of shape (d, d)) every leading axis becomes a row
+    of one (rows, d) @ (d, d) product; a Monte Carlo stack of several models
+    is one such model with a block-diagonal ``t_off`` (see ``_lockstep``).
+    Stacked models, ``values`` (F, m, d) with ``s_diag`` and ``levels``
+    (F, 1, d) and ``t_off`` (F, d, d), still broadcast to one stacked matmul
+    per stage, but the package no longer calls the kernel that way.  The image
+    is entrywise positive whenever the input is, unless a weight underflows
+    to 0.0.
     """
     c = _gauge_exponents(d_y, dt, s_diag, levels)
     e_half = np.exp(c * (0.5 * dt))
@@ -217,19 +229,26 @@ def _lockstep(filters, increments, dt):
     """Run (initial, generator, observation) ``filters`` in lockstep on every
     path of ``increments`` (m, n), one kernel call per cell for the whole stack.
 
+    The F models do not couple, so the stack is one model with F * d states and
+    a block-diagonal rate matrix, advanced as rows (m, F * d); each block is
+    renormalized by its own mass, with one product by the block-diagonal ones.
     Yields the stack (F, m, d) at node 0 and after every cell, at unit mass.
     """
     initials, generators, observations = zip(*filters)
     parts = [split_rate_matrix(g) for g in generators]
-    s_diag = np.stack([p[0] for p in parts])[:, None, :]
-    t_off = np.stack([p[1] for p in parts])
-    levels = np.stack([o.levels for o in observations])[:, None, :]
-    states = np.repeat(np.asarray(initials, dtype=float)[:, None, :], increments.shape[0], axis=1)
-    yield states
+    count, d = len(parts), parts[0][0].shape[0]
+    s_diag = np.concatenate([p[0] for p in parts])
+    blocks = np.stack([p[1] for p in parts])
+    t_off = (np.eye(count)[:, None, :, None] * blocks[:, :, None, :]).reshape(count * d, count * d)
+    levels = np.concatenate([o.levels for o in observations])
+    block_ones = np.kron(np.eye(count), np.ones((d, d)))
+    m = increments.shape[0]
+    states = np.tile(np.concatenate(initials).astype(float), (m, 1))
+    yield states.reshape(m, count, d).swapaxes(0, 1)
     for k in range(increments.shape[1]):
         states = propagate_cell(states, increments[:, k], dt, s_diag, t_off, levels)
-        states /= states.sum(axis=-1, keepdims=True)
-        yield states
+        states /= states @ block_ones
+        yield states.reshape(m, count, d).swapaxes(0, 1)
 
 
 def _trajectories(filters, increments, dt) -> np.ndarray:

@@ -30,6 +30,13 @@ NON_MIXING_CONFIG = GOOD_CONFIG.replace(
 )
 
 
+def with_experiment_field(field, value):
+    """GOOD_CONFIG with one experiment field set to the YAML text ``value``."""
+    mapping = yaml.safe_load(GOOD_CONFIG)
+    mapping["experiment"][field] = yaml.safe_load(value)
+    return yaml.safe_dump(mapping)
+
+
 @pytest.fixture()
 def config_file(tmp_path):
     path = tmp_path / "run.yaml"
@@ -72,6 +79,30 @@ class TestRunConfig:
             loads_config("model: {generator: [[-1.0, 1.0], [1.0, -1.0]]}")
         with pytest.raises(wl.ConfigError):
             loads_config("a: [unclosed")
+
+    @pytest.mark.parametrize("field, value", [
+        ("strict_tolerance", '"false"'),
+        ("strict_tolerance", "1"),
+        ("n_trials", "150.9"),
+        ("n_trials", '"150"'),
+        ("n_trials", "true"),
+        ("seed", "3.7"),
+        ("seed", ".nan"),
+        ("sweep_components", "initial"),
+        ("checkpoints", "1.0"),
+        ("sweep", "0.5"),
+    ])
+    def test_fields_are_not_coerced(self, field, value):
+        with pytest.raises(wl.ConfigError, match=field):
+            loads_config(with_experiment_field(field, value))
+
+    def test_whole_floats_and_real_flags_are_kept(self):
+        mapping = yaml.safe_load(GOOD_CONFIG)
+        mapping["experiment"].update(n_trials=150.0, strict_tolerance=True, sweep_components=["initial"])
+        cfg = loads_config(yaml.safe_dump(mapping))
+        assert cfg.n_trials == 150 and isinstance(cfg.n_trials, int)
+        assert cfg.strict_tolerance is True
+        assert cfg.sweep_components == ("initial",)
 
     def test_model_validation_errors_surface(self):
         bad = GOOD_CONFIG.replace("[[-1.0, 1.0], [1.0, -1.0]]", "[[-1.0, 2.0], [1.0, -1.0]]")
@@ -146,6 +177,16 @@ class TestCliRun:
         code = main(["run", str(path), "forgetting", "--out", str(tmp_path)])
         assert code == 1
         assert "ConfigError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("strict_tolerance", '"false"'), ("n_trials", "150.9"),
+                                              ("seed", "3.7"), ("sweep_components", "initial")])
+    def test_coercible_field_exits_one(self, tmp_path, capsys, field, value):
+        path = tmp_path / "loose.yaml"
+        path.write_text(with_experiment_field(field, value))
+        code = main(["run", str(path), "forgetting", "--out", str(tmp_path)])
+        assert code == 1
+        assert "ConfigError" in capsys.readouterr().err
+        assert not list(tmp_path.glob("forgetting-*"))
 
     def test_unreadable_config_exits_one(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "absent.yaml"), "forgetting"])

@@ -232,6 +232,24 @@ class TestConvergenceSweep:
         for ratio in report.supplementary["halving_ratios"]:
             assert ratio["error_ratio"] < 3.0 * 4.0
 
+    def test_size_zero_shares_the_truths_filter(self, small_pair, monkeypatch):
+        stacks = []
+        real = experiments._lockstep
+
+        def counted(filters, increments, dt):
+            stacks.append(len(filters))
+            return real(filters, increments, dt)
+
+        monkeypatch.setattr(experiments, "_lockstep", counted)
+        spec = make_spec(small_pair, t_end=1.0, n_trials=100, checkpoints=(0.0, 0.5, 1.0),
+                         sweep_sizes=(0.5, 0.1))
+        report = wl.run_convergence_sweep(spec)
+        assert stacks == [1 + len(spec.sweep_sizes)]
+        floor = report.table[0]
+        assert floor["size"] == 0.0
+        assert floor["sup_error"] == floor["half_width"] == floor["bound"] == 0.0
+        assert floor["checkpoint_violations"] == 0
+
     def test_one_simulation_matches_robustness_runs(self, small_pair, monkeypatch):
         spec = make_spec(small_pair, t_end=2.0, n_trials=100, checkpoints=(0.0, 1.0, 2.0),
                          sweep_sizes=(0.5, 0.1))

@@ -656,6 +656,47 @@ class TestCellKernels:
                 assert np.abs(stack[i] - state).sum(axis=1).max() <= 1e-14
 
 
+def stacked_lockstep(filters, increments, dt):
+    """Reference driver: the stack (F, m, d) advanced with one stacked-model
+    kernel call per cell (t_off of shape (F, d, d)), each filter's rows
+    renormalized by their own sums."""
+    initials, generators, observations = zip(*filters)
+    parts = [split_rate_matrix(g) for g in generators]
+    s_diag = np.stack([p[0] for p in parts])[:, None, :]
+    t_off = np.stack([p[1] for p in parts])
+    levels = np.stack([o.levels for o in observations])[:, None, :]
+    states = np.repeat(np.asarray(initials, dtype=float)[:, None, :], increments.shape[0], axis=1)
+    yield states
+    for k in range(increments.shape[1]):
+        states = propagate_cell(states, increments[:, k], dt, s_diag, t_off, levels)
+        states /= states.sum(axis=-1, keepdims=True)
+        yield states
+
+
+class TestBlockDiagonalStack:
+    """``_lockstep`` advances F filters as one model with F * d states."""
+
+    @given(d=st.integers(2, 10), n_filters=st.integers(1, 4), width=st.integers(1, 6),
+           n=st.sampled_from([0, 1, 37]), dt=st.sampled_from([1e-3, 1e-2]),
+           mixing=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 2**32 - 1))
+    @KERNEL_SETTINGS
+    def test_matches_stacked_models(self, d, n_filters, width, n, dt, mixing, seed):
+        rng = np.random.default_rng(seed)
+        models = [random_model(rng, d, mixing[f]) for f in range(n_filters)]
+        filters = [(m.initial, m.generator, m.observation) for m in models]
+        increments = rng.normal(0.0, math.sqrt(dt), size=(width, n))
+        yielded = []
+        for stack in _lockstep(filters, increments, dt):
+            yielded.append((stack, stack.copy()))
+        reference = list(stacked_lockstep(filters, increments, dt))
+        assert len(yielded) == len(reference) == n + 1
+        for (stack, at_yield), expected in zip(yielded, reference):
+            assert stack.shape == (n_filters, width, d)
+            # nodes yielded earlier do not change as the driver advances
+            assert np.array_equal(stack, at_yield)
+            assert np.abs(stack - expected).sum(axis=-1).max() <= 1e-14
+
+
 class TestNonMixingUnderflow:
     """With no rate into a state, that state's weight leaves the double range.
 
