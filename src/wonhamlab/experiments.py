@@ -49,8 +49,8 @@ from .models import (
 )
 from .sensitivity import (
     derivative_from_flow,
+    derivative_from_smoothing,
     second_derivative_from_flow,
-    smoothing_from_flow,
     _apply,
 )
 from .simulate import (
@@ -590,8 +590,8 @@ def run_derivative_audit(spec: ExperimentSpec) -> ExperimentReport:
     n_a = grid.node(t_audit)
     m = spec.n_trials
     increments = simulate_increments_batch(
-        truth.initial, truth.generator, truth.observation, grid, spec.master_seed, m
-    )[:, :n_a]
+        truth.initial, truth.generator, truth.observation, TimeGrid(t_audit, grid.dt), spec.master_seed, m
+    )
     s_diag, t_off = split_rate_matrix(truth.generator)
     levels = truth.observation.levels
     d = truth.d
@@ -607,58 +607,35 @@ def run_derivative_audit(spec: ExperimentSpec) -> ExperimentReport:
 
     nu = truth.initial
     first_flow = derivative_from_flow(flows, nu, v)
-
-    pi = _apply(flows, nu)
-    pi /= pi.sum(axis=1, keepdims=True)
-    rho = smoothing_from_flow(flows, nu)
-    weighted = np.einsum("mj,mji->mi", v / nu, rho)
-    first_smooth = pi * (weighted - np.einsum("mi,mi->m", weighted, pi)[:, None])
+    first_smooth = derivative_from_smoothing(flows, nu, v)
+    second_flow = second_derivative_from_flow(flows, nu, v)
 
     def projected(x):
-        return x / x.sum(axis=1, keepdims=True)
+        image = _apply(flows, x)
+        return image / image.sum(axis=1, keepdims=True)
 
-    eps = FD_STEP_FIRST
-    first_fd = (projected(_apply(flows, nu + eps * v)) - projected(_apply(flows, nu - eps * v))) / (2 * eps)
+    eps, eps2 = FD_STEP_FIRST, FD_STEP_SECOND
+    first_fd = (projected(nu + eps * v) - projected(nu - eps * v)) / (2 * eps)
+    second_fd = (projected(nu + eps2 * v) - 2.0 * projected(nu) + projected(nu - eps2 * v)) / eps2**2
+    tangency = max(float(np.abs(x.sum(axis=1)).max()) for x in (first_flow, first_smooth, second_flow))
+    tangency_bad = tangency > AUDIT_TOL_TANGENCY
 
-    eps2 = FD_STEP_SECOND
-    second_flow = second_derivative_from_flow(flows, nu, v)
-    second_fd = (
-        projected(_apply(flows, nu + eps2 * v))
-        - 2.0 * projected(_apply(flows, nu))
-        + projected(_apply(flows, nu - eps2 * v))
-    ) / eps2**2
-
-    pairs = {
-        "flow_vs_smoothing": _relative_gap(first_flow, first_smooth),
-        "flow_vs_fd": _relative_gap(first_flow, first_fd),
-        "smoothing_vs_fd": _relative_gap(first_smooth, first_fd),
-    }
-    second_gap = _relative_gap(second_flow, second_fd)
-    tangency = max(
-        float(np.abs(first_flow.sum(axis=1)).max()),
-        float(np.abs(first_smooth.sum(axis=1)).max()),
-        float(np.abs(second_flow.sum(axis=1)).max()),
-    )
-
-    violations = 0
+    violations = int(tangency_bad)
     table = []
-    for name, gaps in pairs.items():
-        count = int((gaps > AUDIT_TOL_FIRST).sum())
+    for name, a, b, tolerance in (
+        ("flow_vs_smoothing", first_flow, first_smooth, AUDIT_TOL_FIRST),
+        ("flow_vs_fd", first_flow, first_fd, AUDIT_TOL_FIRST),
+        ("smoothing_vs_fd", first_smooth, first_fd, AUDIT_TOL_FIRST),
+        ("second_flow_vs_fd", second_flow, second_fd, AUDIT_TOL_SECOND),
+    ):
+        gaps = _relative_gap(a, b)
+        count = int((gaps > tolerance).sum())
         violations += count
         table.append(
             {"comparison": name, "max_relative_gap": float(gaps.max()),
-             "mean_relative_gap": float(gaps.mean()), "tolerance": AUDIT_TOL_FIRST,
+             "mean_relative_gap": float(gaps.mean()), "tolerance": tolerance,
              "violations": count}
         )
-    count2 = int((second_gap > AUDIT_TOL_SECOND).sum())
-    violations += count2
-    table.append(
-        {"comparison": "second_flow_vs_fd", "max_relative_gap": float(second_gap.max()),
-         "mean_relative_gap": float(second_gap.mean()), "tolerance": AUDIT_TOL_SECOND,
-         "violations": count2}
-    )
-    tangency_bad = tangency > AUDIT_TOL_TANGENCY
-    violations += int(tangency_bad)
 
     return ExperimentReport(
         experiment="derivative-audit",

@@ -264,6 +264,25 @@ def _trajectories(filters, increments, dt) -> np.ndarray:
     return np.stack(list(_lockstep(filters, increments, dt)), axis=2)
 
 
+def _node_range(obs: ObservationPath, s, t) -> np.ndarray:
+    """Increments of the cells between the grid nodes at s and t; needs s <= t."""
+    i0, i1 = obs.grid.node(s), obs.grid.node(t)
+    if i1 < i0:
+        raise GridMismatchError("need s <= t")
+    return obs.increments[i0:i1]
+
+
+def _scan_range(state, s, t, obs: ObservationPath, generator: GeneratorMatrix,
+                observation: ObservationMap) -> tuple[np.ndarray, float]:
+    """Unit-mass image of ``state`` over the node range [s, t] and its log mass
+    relative to ``state``; ``state`` itself with log mass 0 when s == t."""
+    log_mass = 0.0
+    for images, logs in _scan_path(state, _node_range(obs, s, t), obs.grid.dt,
+                                   *split_rate_matrix(generator), observation.levels):
+        state, log_mass = images[-1].copy(), float(logs[-1])
+    return state, log_mass
+
+
 def cell_propagators(increments, dt, generator: GeneratorMatrix, observation: ObservationMap) -> np.ndarray:
     """Exact per-cell linear maps of the discretized unnormalized flow.
 
@@ -286,19 +305,9 @@ def gauge_filter(mu, s, t, obs: ObservationPath, generator: GeneratorMatrix,
     arr = np.asarray(mu, dtype=float)
     if np.any(arr <= 0.0):
         raise NonPositiveEntryError("gauge filter needs a strictly positive start")
-    grid = obs.grid
-    i0, i1 = grid.node(s), grid.node(t)
-    if i1 < i0:
-        raise GridMismatchError("need s <= t")
-    s_diag, t_off = split_rate_matrix(generator)
     total = arr.sum()
-    rho = arr / total
-    log_scale = math.log(total)
-    log_mass = 0.0
-    for images, logs in _scan_path(rho, obs.increments[i0:i1], grid.dt, s_diag, t_off,
-                                   observation.levels):
-        rho, log_mass = images[-1].copy(), float(logs[-1])
-    return rho, log_scale + log_mass
+    rho, log_mass = _scan_range(arr / total, s, t, obs, generator, observation)
+    return rho, math.log(total) + log_mass
 
 
 def filter_semiflow(mu, s, t, obs: ObservationPath, generator: GeneratorMatrix,
@@ -442,24 +451,14 @@ def zakai_flow(s, t, obs: ObservationPath, generator: GeneratorMatrix,
     Entries stay nonnegative; the identity is returned exactly when s == t.
     Emits IllConditionedWarning when the condition number passes the threshold.
     """
-    grid = obs.grid
-    i0, i1 = grid.node(s), grid.node(t)
-    if i1 < i0:
-        raise GridMismatchError("need s <= t")
-    s_diag, t_off = split_rate_matrix(generator)
-    u = np.eye(generator.d)
-    log_scale = 0.0
-    for images, logs in _scan_path(u, obs.increments[i0:i1], grid.dt, s_diag, t_off,
-                                   observation.levels):
-        u, log_scale = images[-1].copy(), float(logs[-1])
-    if i1 > i0:
-        cond = float(np.linalg.cond(u))
-        if cond > condition_threshold:
-            warnings.warn(
-                f"propagator over [{s}, {t}] has condition number {cond:.3e}",
-                IllConditionedWarning,
-                stacklevel=2,
-            )
+    u, log_scale = _scan_range(np.eye(generator.d), s, t, obs, generator, observation)
+    cond = float(np.linalg.cond(u))
+    if cond > condition_threshold:
+        warnings.warn(
+            f"propagator over [{s}, {t}] has condition number {cond:.3e}",
+            IllConditionedWarning,
+            stacklevel=2,
+        )
     return FlowMatrix(entries=u, log_scale=log_scale, s=float(s), t=float(t))
 
 
@@ -490,10 +489,6 @@ def zakai_flow_inverse(s, t, obs: ObservationPath, generator: GeneratorMatrix,
     the products are renormalized by absolute mass, which the scan's unit-mass
     products do not carry.
     """
-    grid = obs.grid
-    i0, i1 = grid.node(s), grid.node(t)
-    if i1 < i0:
-        raise GridMismatchError("need s <= t")
     levels = observation.levels
     drift = np.diag(levels**2) - generator.entries
     s_diag = np.diag(drift).copy()
@@ -501,8 +496,8 @@ def zakai_flow_inverse(s, t, obs: ObservationPath, generator: GeneratorMatrix,
     np.fill_diagonal(t_off, 0.0)
     z = np.eye(generator.d)
     log_scale = 0.0
-    for k in range(i0, i1):
-        z = propagate_cell_matrix(z, obs.increments[k], grid.dt, s_diag, t_off, -levels)
+    for d_y in _node_range(obs, s, t):
+        z = propagate_cell_matrix(z, d_y, obs.grid.dt, s_diag, t_off, -levels)
         total = np.abs(z).sum()
         z = z / total
         log_scale += math.log(total)

@@ -58,12 +58,9 @@ def derivative_from_flow(entries, mu, v) -> np.ndarray:
 
 def second_derivative_from_flow(entries, mu, v) -> np.ndarray:
     """Second derivative along (v, v), batched; algebraically contracted form."""
-    x = _apply(entries, mu)
-    w = _apply(entries, v)
-    total = x.sum(axis=-1, keepdims=True)
-    w_sum = w.sum(axis=-1, keepdims=True)
-    first = (w - x / total * w_sum) / total
-    return -2.0 * w_sum * first / total
+    total = _apply(entries, mu).sum(axis=-1, keepdims=True)
+    w_sum = _apply(entries, v).sum(axis=-1, keepdims=True)
+    return -2.0 * w_sum * derivative_from_flow(entries, mu, v) / total
 
 
 def smoothing_from_flow(entries, initial) -> np.ndarray:
@@ -76,6 +73,19 @@ def smoothing_from_flow(entries, initial) -> np.ndarray:
     den = _apply(entries, nu)
     swapped = np.swapaxes(entries, -1, -2)
     return swapped * nu[..., :, None] / den[..., None, :]
+
+
+def derivative_from_smoothing(entries, initial, v) -> np.ndarray:
+    """First derivative at the initial law itself, from smoothing probabilities.
+
+    Component i is ``pi_i * sum_jk (v_j/nu_j) pi_k (rho_ji - rho_jk)`` with rho
+    the smoothing matrix and pi the filter.  Batched like ``derivative_from_flow``.
+    """
+    nu = np.asarray(initial, dtype=float)
+    x = _apply(entries, nu)
+    pi = x / x.sum(axis=-1, keepdims=True)
+    weighted = np.einsum("...j,...ji->...i", v / nu, smoothing_from_flow(entries, nu))
+    return pi * (weighted - np.einsum("...i,...i->...", weighted, pi)[..., None])
 
 
 def derivative_opnorm_from_flow(entries, mu) -> np.ndarray:
@@ -111,19 +121,11 @@ def smoothing_matrix(t, obs: ObservationPath, initial, generator: GeneratorMatri
 
 def derivative_smoothing_route(initial, v, t, obs: ObservationPath, generator: GeneratorMatrix,
                                observation: ObservationMap) -> np.ndarray:
-    """Directional derivative at the true initial law via smoothing probabilities.
-
-    Component i is ``pi_i * sum_jk (v_j/nu_j) pi_k (rho_ji - rho_jk)`` with rho
-    the smoothing matrix and pi the filter at t.
-    """
+    """Directional derivative at the true initial law via smoothing probabilities."""
     nu = validate_simplex(initial)
     v = validate_tangent(v)
     flow = zakai_flow(0.0, t, obs, generator, observation)
-    x = flow.apply(nu)
-    pi = x / x.sum()
-    rho = smoothing_from_flow(flow.entries, nu)
-    weighted = (v / nu) @ rho
-    return pi * (weighted - weighted @ pi)
+    return derivative_from_smoothing(flow.entries, nu, v)
 
 
 def tilted_filter(mu, t, obs: ObservationPath, initial, generator: GeneratorMatrix,

@@ -1,11 +1,17 @@
 import json
+import re
+import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
 
 import wonhamlab as wl
+import wonhamlab.config
 from wonhamlab.cli import main
 from wonhamlab.config import dumps_config, loads_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOOD_CONFIG = """\
 model:
@@ -44,7 +50,22 @@ def config_file(tmp_path):
     return path
 
 
+def documented_config(source: str) -> str:
+    """The sample configuration in the README or in the ``config`` module docstring."""
+    if source == "README":
+        (block,) = re.findall(r"```yaml\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+        return block
+    lines = wonhamlab.config.__doc__.splitlines()
+    return textwrap.dedent("\n".join(line for line in lines if line.startswith("    ")))
+
+
 class TestRunConfig:
+    @pytest.mark.parametrize("source", ["README", "config docstring"])
+    def test_documented_sample_loads(self, source):
+        spec = loads_config(documented_config(source)).to_spec()
+        assert spec.n_trials == 200
+        assert spec.sweep_sizes == (0.2, 0.1, 0.05, 0.025)
+
     def test_parse_and_fields(self):
         cfg = loads_config(GOOD_CONFIG)
         assert cfg.n_trials == 100

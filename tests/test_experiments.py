@@ -14,16 +14,16 @@ def small_pair(ref_model):
     return wl.ModelPair(true_model=ref_model, approx_model=approx)
 
 
-def count_simulations(monkeypatch):
-    """Record the trial count of every batch simulation the experiments module makes."""
+def record_simulations(monkeypatch):
+    """Record the grid and trial count of every batch simulation the experiments module makes."""
     calls = []
     real = experiments.simulate_increments_batch
 
-    def counted(initial, generator, observation, grid, master_seed, n_trials):
-        calls.append(n_trials)
+    def recorded(initial, generator, observation, grid, master_seed, n_trials):
+        calls.append((grid, n_trials))
         return real(initial, generator, observation, grid, master_seed, n_trials)
 
-    monkeypatch.setattr(experiments, "simulate_increments_batch", counted)
+    monkeypatch.setattr(experiments, "simulate_increments_batch", recorded)
     return calls
 
 
@@ -171,11 +171,11 @@ def test_straddled_bound_escalates_once(small_pair, monkeypatch, name):
     first = wl.run_experiment(name, spec)
     assert not first.supplementary["escalated"]
     FORCE_STRADDLE[name](monkeypatch, first)
-    calls = count_simulations(monkeypatch)
+    calls = record_simulations(monkeypatch)
     report = wl.run_experiment(name, spec)
     assert report.supplementary["escalated"]
     assert report.n_trials == 4 * spec.n_trials
-    assert calls == [spec.n_trials, 4 * spec.n_trials]
+    assert [n for _, n in calls] == [spec.n_trials, 4 * spec.n_trials]
 
 
 class TestForgettingExperiment:
@@ -253,9 +253,9 @@ class TestConvergenceSweep:
     def test_one_simulation_matches_robustness_runs(self, small_pair, monkeypatch):
         spec = make_spec(small_pair, t_end=2.0, n_trials=100, checkpoints=(0.0, 1.0, 2.0),
                          sweep_sizes=(0.5, 0.1))
-        calls = count_simulations(monkeypatch)
+        calls = record_simulations(monkeypatch)
         report = wl.run_convergence_sweep(spec)
-        assert calls == [spec.n_trials]
+        assert [n for _, n in calls] == [spec.n_trials]
         for entry in report.table[1:]:
             pair = wl.interpolate_pair(small_pair, entry["size"], spec.sweep_components)
             single = wl.run_robustness_experiment(dataclasses.replace(spec, pair=pair))
@@ -275,6 +275,21 @@ class TestDerivativeAudit:
         assert by_name["flow_vs_fd"]["max_relative_gap"] <= 1e-4
         assert by_name["smoothing_vs_fd"]["max_relative_gap"] <= 1e-4
         assert by_name["second_flow_vs_fd"]["max_relative_gap"] <= 1e-2
+
+    @pytest.mark.parametrize("t_end, checkpoints", [(0.5, (0.0, 0.5)), (2.0, (0.0, 1.0))])
+    def test_simulates_only_the_audited_horizon(self, small_pair, monkeypatch, t_end, checkpoints):
+        spec = make_spec(small_pair, t_end=t_end, n_trials=100, checkpoints=checkpoints)
+        calls = record_simulations(monkeypatch)
+        wl.run_derivative_audit(spec)
+        [(grid, n_trials)] = calls
+        assert grid.n_steps == spec.grid.node(min(1.0, t_end))
+        assert n_trials == spec.n_trials
+
+    def test_off_grid_horizon_rejected(self, small_pair):
+        spec = wl.ExperimentSpec(pair=small_pair, grid=wl.TimeGrid(1.2, 3e-3), n_trials=100,
+                                 master_seed=1, checkpoints=(0.0, 0.3))
+        with pytest.raises(wl.GridMismatchError):
+            wl.run_derivative_audit(spec)
 
 
 class TestIntegratorRefinement:

@@ -223,12 +223,48 @@ class TestProjectedFilter:
                                            ref_model.observation, obs)
 
 
-class TestZakaiFlow:
-    def test_identity_at_equal_times(self, ref_model, ref_obs):
-        flow = wl.zakai_flow(0.3, 0.3, ref_obs, ref_model.generator, ref_model.observation)
-        assert np.array_equal(flow.entries, np.eye(2))
-        assert flow.log_scale == 0.0
+RANGE_START = np.array([0.2, 0.6])
 
+
+def _flow_pair(*args):
+    flow = wl.zakai_flow(*args)
+    return flow.entries, flow.log_scale
+
+
+# The routes over the node range [s, t], each returning (value, log scale).
+RANGE_ROUTES = {
+    "gauge_filter": lambda s, t, *args: wl.gauge_filter(RANGE_START, s, t, *args),
+    "zakai_flow": _flow_pair,
+    "zakai_flow_inverse": wl.zakai_flow_inverse,
+}
+# What each returns when s == t: its start, with no log mass added.
+RANGE_IDENTITY = {
+    "gauge_filter": (RANGE_START / RANGE_START.sum(), math.log(RANGE_START.sum())),
+    "zakai_flow": (np.eye(2), 0.0),
+    "zakai_flow_inverse": (np.eye(2), 0.0),
+}
+
+
+class TestNodeRange:
+    """The routes over a node range share one range check and return their
+    exact start on an empty range."""
+
+    @pytest.mark.parametrize("route", list(RANGE_ROUTES))
+    def test_identity_at_equal_times(self, ref_model, ref_obs, route):
+        value, log_scale = RANGE_ROUTES[route](0.3, 0.3, ref_obs, ref_model.generator,
+                                               ref_model.observation)
+        start, start_log = RANGE_IDENTITY[route]
+        assert np.array_equal(value, start)
+        assert log_scale == start_log
+
+    @pytest.mark.parametrize("route", list(RANGE_ROUTES))
+    @pytest.mark.parametrize("s, t", [(0.5, 0.3), (0.3, 0.5005), (0.1005, 0.3)])
+    def test_reversed_or_off_grid_range_rejected(self, ref_model, ref_obs, route, s, t):
+        with pytest.raises(wl.GridMismatchError):
+            RANGE_ROUTES[route](s, t, ref_obs, ref_model.generator, ref_model.observation)
+
+
+class TestZakaiFlow:
     def test_entries_nonnegative(self, ref_model, ref_obs):
         flow = wl.zakai_flow(0.0, 1.0, ref_obs, ref_model.generator, ref_model.observation)
         assert np.all(flow.entries >= 0.0)
