@@ -66,6 +66,9 @@ BOUND_GRADE_DT = 0.01
 ALLOWANCE_FACTOR = 10.0
 DEFAULT_CHECKPOINTS = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 REFINEMENT_LADDER = (4e-3, 2e-3, 1e-3, 5e-4)
+# Nodes per block of the forgetting excursion count: the block is copied out of
+# the lockstep stack's strided view, so per-node overhead is paid once per block.
+_EXCURSION_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -300,16 +303,22 @@ def _campaign(spec: ExperimentSpec, models, n_trials: int, excursion_bound=None)
     filters = [(m.initial, m.generator, m.observation)
                for m in (models[rows.index(r)] for r in range(len(row_of)))]
     later = rows[1:] if len(row_of) < len(models) else slice(1, None)  # a view when no row repeats
+    if excursion_bound is not None:
+        block = np.empty((_EXCURSION_BLOCK, len(row_of), n_trials, spec.pair.d))
     for k, states in enumerate(_lockstep(filters, increments, grid.dt)):
+        if excursion_bound is not None:
+            b = k % _EXCURSION_BLOCK
+            block[b] = states
+            if b == _EXCURSION_BLOCK - 1 or k == grid.n_steps:
+                nodes = block[:b + 1]
+                l1 = np.abs(nodes[:, later] - nodes[:, :1]).sum(axis=-1)
+                bounds = excursion_bound[k - b:k + 1, None, None]
+                out["excursions"] += int((l1 > bounds).sum())
         i, j = dense_pos.get(k), chk_pos.get(k)
-        if i is None and j is None and excursion_bound is None:
+        if i is None and j is None:
             continue
         diff = states[later] - states[0]
         l1 = np.abs(diff).sum(axis=-1)
-        if excursion_bound is not None:
-            out["excursions"] += int((l1 > excursion_bound[k]).sum())
-        if i is None and j is None:
-            continue
         sq = (diff * diff).sum(axis=-1)
         out["l1_dominance"] += (sq > l1).sum(axis=-1)
         if i is not None:
@@ -652,10 +661,15 @@ def run_derivative_audit(spec: ExperimentSpec) -> ExperimentReport:
 def run_integrator_refinement(spec: ExperimentSpec) -> ExperimentReport:
     """Step-size sensitivity of both integrator routes.
 
-    Simulates at a quarter of the finest ladder step, aggregates increments
-    upward so every level sees the same underlying paths, and reports mean l1
-    endpoint errors against the finest run.  A separate sub-step study holds the
-    observation polygon fixed to isolate the one-cell solver order.
+    Simulates at half the finest ladder step, aggregates increments upward so
+    every level sees the same underlying paths, and reports mean l1 endpoint
+    errors against the finest run.  A sub-step study holds the observation
+    polygon of the coarsest level fixed to isolate the one-cell solver order:
+    its entry j splits every coarse cell into 2**j equal cells, so it runs at
+    the step of ladder level j.  Each level below the coarsest therefore runs
+    with its sub-step entry as one lockstep stack of 2m paths, whose first m
+    rows are the ladder run; at the coarsest level the ladder run is the
+    study's first entry.
     """
     truth = spec.pair.true_model
     t_r = min(1.0, spec.grid.t_end)
@@ -674,10 +688,22 @@ def run_integrator_refinement(spec: ExperimentSpec) -> ExperimentReport:
     reference = gauge_end(increments, dt_ref)
     table = []
     gauge_errors = []
-    for dt in REFINEMENT_LADDER:
+    split_ends = []
+    for j, dt in enumerate(REFINEMENT_LADDER):
+        # Level j and sub-step entry j share one stack only if the ladder halves exactly.
+        assert REFINEMENT_LADDER[0] / 2**j == dt, "the refinement ladder must halve exactly"
         factor = round(dt / dt_ref)
-        inc = increments.reshape(m, -1, factor).sum(axis=2)
-        g_end = gauge_end(inc, dt)
+        cells = increments.shape[1] // factor
+        # Rows :m hold level j's increments, rows m: the coarsest ones split into 2**j cells.
+        stack = np.empty((2 * m if j else m, cells))
+        inc = np.sum(increments.reshape(m, cells, factor), axis=2, out=stack[:m])
+        if j == 0:
+            coarse_inc = inc
+        else:
+            np.divide(coarse_inc[:, :, None], 2**j, out=stack[m:].reshape(m, -1, 2**j))
+        ends = gauge_end(stack, dt)
+        g_end = ends[:m]
+        split_ends.append(ends[m:] if j else g_end)
         e_end = _euler_batch_values(truth.initial, inc, dt, truth.generator, truth.observation)
         g_err = float(np.abs(g_end - reference).sum(axis=1).mean())
         e_err = float(np.abs(e_end - reference).sum(axis=1).mean())
@@ -685,15 +711,6 @@ def run_integrator_refinement(spec: ExperimentSpec) -> ExperimentReport:
         table.append({"dt": dt, "gauge_error": g_err, "euler_error": e_err})
     for i in range(1, len(table)):
         table[i]["gauge_halving_ratio"] = gauge_errors[i - 1] / max(gauge_errors[i], 1e-300)
-
-    # One-cell solver order: refine the solver step on a frozen observation polygon.
-    coarse_dt = REFINEMENT_LADDER[0]
-    coarse_inc = increments.reshape(m, -1, round(coarse_dt / dt_ref)).sum(axis=2)
-    split_ends = []
-    for j in range(4):
-        splits = 2**j
-        inc_j = np.repeat(coarse_inc, splits, axis=1) / splits
-        split_ends.append(gauge_end(inc_j, coarse_dt / splits))
     ode_errors = [float(np.abs(e - split_ends[-1]).sum(axis=1).mean()) for e in split_ends[:-1]]
     ode_ratios = [ode_errors[i] / max(ode_errors[i + 1], 1e-300) for i in range(len(ode_errors) - 1)]
 

@@ -143,15 +143,33 @@ def propagate_cell(values, d_y, dt, s_diag, t_off, levels) -> np.ndarray:
         values, e_half, e_full = (np.broadcast_to(a, shape).reshape(-1, shape[-1])
                                   for a in (values, e_half, e_full))
 
-    def coeff(f, e):
-        return e * ((f / e) @ t_rows)
+    def stage(h, k, e):
+        # e * ((values + h * k) / e) @ t_rows, accumulated in place
+        x = h * k
+        x += values
+        x /= e
+        x = x @ t_rows
+        x *= e
+        return x
 
     k1 = values @ t_rows
-    k2 = coeff(values + (0.5 * dt) * k1, e_half)
-    k3 = coeff(values + (0.5 * dt) * k2, e_half)
-    k4 = coeff(values + dt * k3, e_full)
-    out = (values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) / e_full
-    return out if shape is None else out.reshape(shape)
+    if k1.shape != e_full.shape:
+        # Increments that broadcast ``values`` up: give k1 the full shape, so
+        # that every stage can be accumulated in place.
+        k1 = np.broadcast_to(k1, np.broadcast_shapes(k1.shape, e_full.shape))
+    k2 = stage(0.5 * dt, k1, e_half)
+    k3 = stage(0.5 * dt, k2, e_half)
+    k4 = stage(dt, k3, e_full)
+    # values + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed in that order
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += values
+    k2 /= e_full
+    return k2 if shape is None else k2.reshape(shape)
 
 
 def propagate_cell_matrix(matrices, d_y, dt, s_diag, t_off, levels) -> np.ndarray:

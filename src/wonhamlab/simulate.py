@@ -110,23 +110,41 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def _cumulative_law(p) -> np.ndarray:
+    # The normalized cumulative sums that Generator.choice(d, p=p) searches.
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
 def simulate_signal(initial, generator: GeneratorMatrix, grid: TimeGrid, seed) -> SignalPath:
     """Sample one chain trajectory on [0, t_end].
 
     The initial state follows ``initial``; holding times are exponential with the
     state's exit rate and the embedded jump chain follows the normalized
     off-diagonal rates.  Deterministic given the seed.
+
+    Each state's cumulative jump law is built once per call, and every state is
+    drawn as ``cdf.searchsorted(rng.random(), side="right")``, which is what
+    ``Generator.choice(d, p=p)`` does after validating ``p``: the random stream
+    and the path are the ones ``choice`` gives, without its per-draw checks.
     """
     nu = validate_simplex(initial, allow_boundary=True)
     rng = _as_generator(seed)
     lam = generator.entries
-    d = generator.d
-    state = int(rng.choice(d, p=nu))
+    exit_rates = -np.diag(lam)
+    jump_cdfs = [None] * generator.d
+    for i in np.flatnonzero(exit_rates > 0.0):
+        jump_probs = lam[i].copy()
+        jump_probs[i] = 0.0
+        jump_probs /= exit_rates[i]
+        jump_cdfs[i] = _cumulative_law(jump_probs)
+    state = int(_cumulative_law(nu).searchsorted(rng.random(), side="right"))
     t = 0.0
     starts = [0.0]
     states = [state]
     while True:
-        exit_rate = -lam[state, state]
+        exit_rate = exit_rates[state]
         if exit_rate <= 0.0:
             if generator.mixing:
                 raise AbsorbingStateError(f"state {state} has zero exit rate in a mixing model")
@@ -134,10 +152,7 @@ def simulate_signal(initial, generator: GeneratorMatrix, grid: TimeGrid, seed) -
         t += rng.exponential(1.0 / exit_rate)
         if t >= grid.t_end:
             break
-        jump_probs = lam[state].copy()
-        jump_probs[state] = 0.0
-        jump_probs /= exit_rate
-        state = int(rng.choice(d, p=jump_probs))
+        state = int(jump_cdfs[state].searchsorted(rng.random(), side="right"))
         starts.append(t)
         states.append(state)
     return SignalPath(

@@ -197,6 +197,24 @@ class TestForgettingExperiment:
         beta = report.constants["beta"]
         assert report.supplementary["fitted_rate"] <= -beta + 0.1
 
+    # 1000 and 1001 nodes end on a short block; 1024 nodes fill exactly 64 blocks of 16
+    @pytest.mark.parametrize("t_end", [0.999, 1.0, 1.023])
+    def test_blocked_excursion_count_matches_every_node(self, small_pair, t_end):
+        """The count taken once per block of nodes equals a count taken node
+        by node on the lockstep stack."""
+        truth, approx = small_pair.true_model, small_pair.approx_model
+        spec = make_spec(small_pair, t_end=t_end, n_trials=100, checkpoints=(0.0, 0.5))
+        models = [dataclasses.replace(approx, initial=truth.initial), approx]
+        filters = [(m.initial, m.generator, m.observation) for m in models]
+        increments = wl.simulate_increments_batch(truth.initial, truth.generator, truth.observation,
+                                                  spec.grid, spec.master_seed, spec.n_trials)
+        gaps = np.array([np.abs(states[1] - states[0]).sum(axis=-1)
+                         for states in experiments._lockstep(filters, increments, spec.grid.dt)])
+        # a bound at each node's median gap, so about half the pairs exceed it
+        bound = np.median(gaps, axis=1)
+        camp = experiments._campaign(spec, models, spec.n_trials, bound)
+        assert camp["excursions"] == int((gaps > bound[:, None]).sum()) > 0
+
 
 class TestInverseMomentExperiment:
     def test_reference_model_bound(self, ref_model):
@@ -303,6 +321,70 @@ class TestIntegratorRefinement:
         for row in report.table:
             assert row["gauge_error"] < 1e-2
         assert "coarsest_halving_ratio" in report.supplementary
+
+    def test_one_stack_per_step_size(self, small_pair, monkeypatch):
+        """The reference run, the coarsest level, and one stack of ladder plus
+        sub-step paths for each finer level: 4000 + 250 + 3500 kernel calls."""
+        calls = []
+        real = wl.filters.propagate_cell
+
+        def counted(values, *args):
+            calls.append(values.shape[0])
+            return real(values, *args)
+
+        monkeypatch.setattr(wl.filters, "propagate_cell", counted)
+        wl.run_integrator_refinement(make_spec(small_pair, t_end=1.0, n_trials=100,
+                                               checkpoints=(0.0, 1.0)))
+        assert len(calls) == 7750
+        assert calls.count(200) == 3500 and calls.count(100) == 4250
+
+    def test_stacked_ends_equal_separate_runs(self, small_pair, monkeypatch):
+        """Ladder ends and sub-step ends equal separate lockstep runs of the
+        aggregated and the split increments, bit for bit."""
+        truth = small_pair.true_model
+        spec = make_spec(small_pair, t_end=0.5, n_trials=100, checkpoints=(0.0, 0.5))
+        runs = []
+        real = experiments._lockstep
+
+        def recorded(filters, increments, dt):
+            for stack in real(filters, increments, dt):
+                yield stack
+            runs.append((increments.copy(), dt, stack[0].copy()))
+
+        monkeypatch.setattr(experiments, "_lockstep", recorded)
+        report = wl.run_integrator_refinement(spec)
+        monkeypatch.undo()
+
+        def end(increments, dt):
+            *_, last = experiments._lockstep([(truth.initial, truth.generator, truth.observation)],
+                                             increments, dt)
+            return last[0]
+
+        m = spec.n_trials
+        fine = wl.simulate_increments_batch(truth.initial, truth.generator, truth.observation,
+                                            wl.TimeGrid(0.5, 2.5e-4), spec.master_seed, m)
+        coarse = fine.reshape(m, -1, 16).sum(axis=2)
+        assert len(runs) == 5
+        reference_end = end(fine, 2.5e-4)
+        assert np.array_equal(runs[0][2], reference_end)
+        ladder, substeps = [], []
+        for j, (increments, dt, last) in enumerate(runs[1:]):
+            assert dt == experiments.REFINEMENT_LADDER[j]
+            level = fine.reshape(m, -1, 16 // 2**j).sum(axis=2)
+            split = np.repeat(coarse, 2**j, axis=1) / 2**j
+            assert np.array_equal(increments[:m], level)
+            ladder.append(end(level, dt))
+            substeps.append(end(split, dt))
+            assert np.array_equal(last[:m], ladder[-1])
+            if j == 0:
+                assert increments.shape[0] == m
+            else:
+                assert np.array_equal(increments[m:], split)
+                assert np.array_equal(last[m:], substeps[-1])
+        gauge = [float(np.abs(e - reference_end).sum(axis=1).mean()) for e in ladder]
+        assert [row["gauge_error"] for row in report.table] == gauge
+        ode = [float(np.abs(e - substeps[-1]).sum(axis=1).mean()) for e in substeps[:-1]]
+        assert report.supplementary["ode_refinement_errors"] == ode
 
 
 class TestRegistry:

@@ -656,6 +656,20 @@ class TestCellKernels:
         assert_relative(propagate_cell_matrix(matrices, d_y, dt, *parts),
                         einsum_cell_matrix(matrices, d_y, dt, *parts))
 
+    @given(d=st.integers(2, 6), width=st.integers(1, 7), dt=st.sampled_from([1e-3, 1e-2]),
+           seed=st.integers(0, 2**32 - 1))
+    @KERNEL_SETTINGS
+    def test_one_vector_broadcast_over_increments(self, d, width, dt, seed):
+        """A (d,) vector with (width,) increments gives one row per increment."""
+        rng = np.random.default_rng(seed)
+        parts = kernel_parts(random_model(rng, d, bool(rng.integers(2))))
+        values = rng.uniform(0.01, 1.0, size=d)
+        d_y = rng.normal(0.0, 0.1, size=width)
+        out = propagate_cell(values, d_y, dt, *parts)
+        assert out.shape == (width, d)
+        assert_relative(out, einsum_cell(values, d_y, dt, *parts))
+        assert_relative(out, propagate_cell(np.tile(values, (width, 1)), d_y, dt, *parts))
+
     @given(d=st.integers(2, 6), n_filters=st.integers(1, 3), width=st.integers(1, 7),
            seed=st.integers(0, 2**32 - 1))
     @KERNEL_SETTINGS
@@ -731,6 +745,27 @@ class TestBlockDiagonalStack:
             # nodes yielded earlier do not change as the driver advances
             assert np.array_equal(stack, at_yield)
             assert np.abs(stack - expected).sum(axis=-1).max() <= 1e-14
+
+    @given(d=st.integers(2, 6), n_filters=st.integers(1, 2), width=st.integers(1, 9),
+           n=st.sampled_from([1, 37]), dt=st.sampled_from([1e-3, 4e-3]),
+           mixing=st.lists(st.booleans(), min_size=2, max_size=2), seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_rows_do_not_depend_on_batch_width(self, d, n_filters, width, n, dt, mixing, seed):
+        """The first m rows of a 2m-path stack equal an m-path run at every
+        node: bit for bit for m >= 2, where both are matrix products.  One row
+        alone goes to a matrix-vector routine, which rounds the same sums
+        apart by at most an ulp."""
+        rng = np.random.default_rng(seed)
+        models = [random_model(rng, d, mixing[f]) for f in range(n_filters)]
+        filters = [(m.initial, m.generator, m.observation) for m in models]
+        increments = rng.normal(0.0, math.sqrt(dt), size=(2 * width, n))
+        wide = _lockstep(filters, increments, dt)
+        narrow = _lockstep(filters, increments[:width].copy(), dt)
+        for both, first in zip(wide, narrow, strict=True):
+            if width >= 2:
+                assert np.array_equal(both[:, :width], first)
+            else:
+                assert np.abs(both[:, :width] - first).max() <= 2.3e-16
 
 
 class TestNonMixingUnderflow:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import wonhamlab as wl
@@ -173,3 +175,80 @@ class TestBatchAndExport:
         assert float(t) == 0.0
         assert int(state) == path.initial_state
         assert float(dy) == pytest.approx(obs.increments[0])
+
+
+def choice_signal(initial, generator, t_end, rng):
+    """Reference sampler: the event loop drawing every state with Generator.choice."""
+    lam = generator.entries
+    d = generator.d
+    state = int(rng.choice(d, p=initial))
+    t, starts, states = 0.0, [0.0], [state]
+    while True:
+        exit_rate = -lam[state, state]
+        if exit_rate <= 0.0:
+            if generator.mixing:
+                raise wl.AbsorbingStateError(f"state {state} has zero exit rate in a mixing model")
+            break
+        t += rng.exponential(1.0 / exit_rate)
+        if t >= t_end:
+            break
+        jump_probs = lam[state].copy()
+        jump_probs[state] = 0.0
+        jump_probs /= exit_rate
+        state = int(rng.choice(d, p=jump_probs))
+        starts.append(t)
+        states.append(state)
+    return np.asarray(starts), np.asarray(states)
+
+
+def sampler_model(rng, d, mixing):
+    """Random rates of d states; a non-mixing one has about half its rates and
+    every rate out of one state zeroed, so that state absorbs."""
+    rates = rng.uniform(0.2, 3.0, size=(d, d))
+    if not mixing:
+        rates *= rng.random((d, d)) < 0.5
+        rates[rng.integers(d)] = 0.0
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    return wl.validate_generator(rates)
+
+
+class TestJumpTables:
+    """Drawing from per-state cumulative tables keeps Generator.choice's stream."""
+
+    @given(d=st.integers(2, 6), mixing=st.booleans(), zero_weight=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_matches_choice_loop(self, d, mixing, zero_weight, seed):
+        rng = np.random.default_rng(seed)
+        generator = sampler_model(rng, d, mixing)
+        initial = rng.dirichlet(np.ones(d))
+        if zero_weight:
+            # a boundary law: one zero weight, the rest renormalized
+            initial[rng.integers(d)] = 0.0
+            initial /= initial.sum()
+        grid = wl.TimeGrid(20.0, 0.5)
+        ours = wl.spawn_generators(seed, 1)[0]
+        theirs = wl.spawn_generators(seed, 1)[0]
+        path = wl.simulate_signal(initial, generator, grid, ours)
+        starts, states = choice_signal(initial, generator, grid.t_end, theirs)
+        assert np.array_equal(path.segment_starts, starts)
+        assert np.array_equal(path.states, states)
+        assert ours.random() == theirs.random()
+
+    def test_zero_weight_state_never_starts(self, ref_model):
+        grid = wl.TimeGrid(1.0, 0.5)
+        for seed in range(50):
+            path = wl.simulate_signal([0.0, 1.0], ref_model.generator, grid, seed)
+            assert path.initial_state == 1
+
+    def test_absorbing_state_raises_after_the_same_draws(self):
+        # state 1 has no exit rate but the model is flagged mixing: both
+        # samplers raise, and only once the chain reaches that state
+        gen = wl.GeneratorMatrix(entries=np.array([[-1.0, 1.0], [0.0, 0.0]]), mixing=True)
+        grid = wl.TimeGrid(50.0, 0.5)
+        for seed in range(5):
+            with pytest.raises(wl.AbsorbingStateError, match="state 1"):
+                wl.simulate_signal([1.0, 0.0], gen, grid, seed)
+            with pytest.raises(wl.AbsorbingStateError, match="state 1"):
+                choice_signal(np.array([1.0, 0.0]), gen, grid.t_end, wl.spawn_generators(seed, 1)[0])
