@@ -29,12 +29,12 @@ anything else raises ConfigError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import yaml
 
 from .errors import ConfigError, WonhamLabError
-from .experiments import DEFAULT_CHECKPOINTS, ExperimentSpec
+from .experiments import DEFAULT_CHECKPOINTS, ExperimentSpec, _model_lists
 from .models import FilterModel, ModelPair
 from .simulate import TimeGrid
 
@@ -104,7 +104,6 @@ class RunConfig:
             raise ConfigError(f"invalid configuration: {exc!r}") from exc
 
     def to_mapping(self) -> dict:
-        truth, approx = self.pair.true_model, self.pair.approx_model
         experiment = {
             "n_trials": self.n_trials,
             "seed": self.master_seed,
@@ -115,16 +114,8 @@ class RunConfig:
         if self.sweep_sizes is not None:
             experiment["sweep"] = [float(s) for s in self.sweep_sizes]
         return {
-            "model": {
-                "generator": truth.generator.entries.tolist(),
-                "levels": truth.observation.levels.tolist(),
-                "initial": truth.initial.tolist(),
-            },
-            "approx": {
-                "generator": approx.generator.entries.tolist(),
-                "levels": approx.observation.levels.tolist(),
-                "initial": approx.initial.tolist(),
-            },
+            "model": _model_lists(self.pair.true_model),
+            "approx": _model_lists(self.pair.approx_model),
             "grid": {"t_end": float(self.grid.t_end), "dt": float(self.grid.dt)},
             "experiment": experiment,
         }
@@ -142,16 +133,7 @@ class RunConfig:
         return cfg
 
     def to_spec(self) -> ExperimentSpec:
-        return ExperimentSpec(
-            pair=self.pair,
-            grid=self.grid,
-            n_trials=self.n_trials,
-            master_seed=self.master_seed,
-            checkpoints=self.checkpoints,
-            sweep_sizes=self.sweep_sizes,
-            sweep_components=self.sweep_components,
-            strict_tolerance=self.strict_tolerance,
-        )
+        return ExperimentSpec(**{f.name: getattr(self, f.name) for f in fields(ExperimentSpec)})
 
 
 def loads_config(text: str) -> RunConfig:

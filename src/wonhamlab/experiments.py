@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -75,7 +75,8 @@ _EXCURSION_BLOCK = 16
 class ExperimentSpec:
     """Everything one experiment needs: models, grid, trial count, seed, checkpoints.
 
-    Checkpoints beyond the horizon are dropped; the rest must be distinct grid nodes.
+    Checkpoints must be finite; those beyond the horizon are dropped, and the rest
+    must be distinct grid nodes.
 
     ``sweep_sizes`` rescale the approximate model toward the truth (1 keeps the
     template, 0 is the truth itself); ``sweep_components`` selects which of the
@@ -96,6 +97,8 @@ class ExperimentSpec:
             raise InsufficientTrialsError(
                 f"need at least {MIN_TRIALS} trials for reported statistics, got {self.n_trials}"
             )
+        if not all(math.isfinite(c) for c in self.checkpoints):
+            raise ConfigError(f"checkpoints must be finite, got {list(self.checkpoints)}")
         kept = tuple(c for c in self.checkpoints if c <= self.grid.t_end + 1e-12)
         if not kept:
             raise ConfigError("no checkpoint lies on the grid horizon")
@@ -139,17 +142,7 @@ class ExperimentReport:
     config: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "master_seed": self.master_seed,
-            "n_trials": self.n_trials,
-            "constants": self.constants,
-            "table": self.table,
-            "supplementary": self.supplementary,
-            "violations": self.violations,
-            "config": self.config,
-        }
-        return json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+        return json.dumps(_jsonable(asdict(self)), indent=2, sort_keys=True)
 
 
 def _jsonable(obj):
@@ -168,30 +161,32 @@ def _jsonable(obj):
     return obj
 
 
+def _model_lists(model: FilterModel) -> dict:
+    """A model's initial law, rate matrix and observation levels as plain lists."""
+    return {
+        "initial": model.initial.tolist(),
+        "generator": model.generator.entries.tolist(),
+        "levels": model.observation.levels.tolist(),
+    }
+
+
 def spec_to_mapping(spec: ExperimentSpec) -> dict:
     """Resolved, JSON-ready echo of a spec (reproducibility contract)."""
-    pair = spec.pair
     return _jsonable(
         {
-            "model": {
-                "initial": pair.true_model.initial,
-                "generator": pair.true_model.generator.entries,
-                "levels": pair.true_model.observation.levels,
-            },
-            "approx": {
-                "initial": pair.approx_model.initial,
-                "generator": pair.approx_model.generator.entries,
-                "levels": pair.approx_model.observation.levels,
-            },
+            "model": _model_lists(spec.pair.true_model),
+            "approx": _model_lists(spec.pair.approx_model),
             "grid": {"t_end": spec.grid.t_end, "dt": spec.grid.dt},
-            "n_trials": spec.n_trials,
-            "master_seed": spec.master_seed,
-            "checkpoints": spec.checkpoints,
-            "sweep_sizes": spec.sweep_sizes,
-            "sweep_components": spec.sweep_components,
-            "strict_tolerance": spec.strict_tolerance,
+            **{f.name: getattr(spec, f.name) for f in fields(spec) if f.name not in ("pair", "grid")},
         }
     )
+
+
+def _report(experiment: str, spec: ExperimentSpec, n_trials: int, **parts) -> ExperimentReport:
+    """Stamp a runner's constants, table, supplementary and violations with the
+    experiment name, the seed, the trial count it used and the spec's echo."""
+    return ExperimentReport(experiment=experiment, master_seed=spec.master_seed, n_trials=n_trials,
+                            config=spec_to_mapping(spec), **parts)
 
 
 def interpolate_pair(pair: ModelPair, size: float, components=("initial", "generator", "levels")) -> ModelPair:
@@ -313,14 +308,14 @@ def _campaign(spec: ExperimentSpec, models, n_trials: int, excursion_bound=None)
                 nodes = block[:b + 1]
                 l1 = np.abs(nodes[:, later] - nodes[:, :1]).sum(axis=-1)
                 bounds = excursion_bound[k - b:k + 1, None, None]
-                out["excursions"] += int((l1 > bounds).sum())
+                out["excursions"] += int((~(l1 <= bounds)).sum())
         i, j = dense_pos.get(k), chk_pos.get(k)
         if i is None and j is None:
             continue
         diff = states[later] - states[0]
         l1 = np.abs(diff).sum(axis=-1)
         sq = (diff * diff).sum(axis=-1)
-        out["l1_dominance"] += (sq > l1).sum(axis=-1)
+        out["l1_dominance"] += (~(sq <= l1)).sum(axis=-1)
         if i is not None:
             out["sq_dense"][..., i] = sq
             out["l1_dense"][..., i] = l1
@@ -340,7 +335,7 @@ def _rows(samples, key: str, checkpoints, bounds, allowance: float) -> tuple[lis
     inconclusive = False
     for i, (c, bound) in enumerate(zip(checkpoints, bounds)):
         mean, hw = _stats(samples[:, i])
-        violation = mean + hw > bound + allowance
+        violation = not (mean + hw <= bound + allowance)
         inconclusive = inconclusive or (violation and mean <= bound + allowance)
         rows.append({"time": float(c), key: mean, "half_width": hw,
                      "bound": float(bound), "violation": bool(violation)})
@@ -415,10 +410,8 @@ def run_robustness_experiment(spec: ExperimentSpec) -> ExperimentReport:
         mean, hw = _stats(camp["inv_min"][:, i])
         inverse_moment.append({"time": float(c), "mean": mean, "half_width": hw})
     violations = sum(r["violation"] for r in core["rows"]) + core["supplementary"]["l1_dominance_violations"]
-    return ExperimentReport(
-        experiment="robustness",
-        master_seed=spec.master_seed,
-        n_trials=n,
+    return _report(
+        "robustness", spec, n,
         constants={**core["constants"], "beta": mixing_rate(approx.generator), "allowance": allowance},
         table=core["rows"],
         supplementary={
@@ -429,7 +422,6 @@ def run_robustness_experiment(spec: ExperimentSpec) -> ExperimentReport:
             "escalated": escalated,
         },
         violations=violations,
-        config=spec_to_mapping(spec),
     )
 
 
@@ -464,10 +456,8 @@ def run_forgetting_experiment(spec: ExperimentSpec) -> ExperimentReport:
         fitted_rate = float("nan")
     rate_ok = math.isnan(fitted_rate) or fitted_rate <= -beta + 0.1
     violations = sum(r["violation"] for r in rows) + camp["excursions"] + (0 if rate_ok else 1)
-    return ExperimentReport(
-        experiment="forgetting",
-        master_seed=spec.master_seed,
-        n_trials=n,
+    return _report(
+        "forgetting", spec, n,
         constants={"beta": beta, "prefactor": prefactor, "allowance": allowance},
         table=rows,
         supplementary={
@@ -478,7 +468,6 @@ def run_forgetting_experiment(spec: ExperimentSpec) -> ExperimentReport:
             "escalated": escalated,
         },
         violations=violations,
-        config=spec_to_mapping(spec),
     )
 
 
@@ -501,10 +490,8 @@ def run_inverse_moment_experiment(spec: ExperimentSpec) -> ExperimentReport:
             "drift": drift,
             "within_noise": bool(drift <= 2.0 * (late[10.0]["half_width"] + late[20.0]["half_width"])),
         }
-    return ExperimentReport(
-        experiment="inverse-moment",
-        master_seed=spec.master_seed,
-        n_trials=n,
+    return _report(
+        "inverse-moment", spec, n,
         constants={"bound": analytic, "allowance": allowance},
         table=rows,
         supplementary={
@@ -515,7 +502,6 @@ def run_inverse_moment_experiment(spec: ExperimentSpec) -> ExperimentReport:
             "escalated": escalated,
         },
         violations=sum(r["violation"] for r in rows),
-        config=spec_to_mapping(spec),
     )
 
 
@@ -560,15 +546,12 @@ def run_convergence_sweep(spec: ExperimentSpec) -> ExperimentReport:
          "error_ratio": a["sup_error"] / max(b["sup_error"], 1e-300)}
         for a, b in zip(ordered, ordered[1:])
     ]
-    return ExperimentReport(
-        experiment="convergence-sweep",
-        master_seed=spec.master_seed,
-        n_trials=spec.n_trials,
+    return _report(
+        "convergence-sweep", spec, spec.n_trials,
         constants={"allowance": allowance, "floor": float(floor)},
         table=entries,
         supplementary={"final_entry_ok": bool(final_ok), "halving_ratios": ratios},
         violations=violations,
-        config=spec_to_mapping(spec),
     )
 
 
@@ -626,8 +609,8 @@ def run_derivative_audit(spec: ExperimentSpec) -> ExperimentReport:
     eps, eps2 = FD_STEP_FIRST, FD_STEP_SECOND
     first_fd = (projected(nu + eps * v) - projected(nu - eps * v)) / (2 * eps)
     second_fd = (projected(nu + eps2 * v) - 2.0 * projected(nu) + projected(nu - eps2 * v)) / eps2**2
-    tangency = max(float(np.abs(x.sum(axis=1)).max()) for x in (first_flow, first_smooth, second_flow))
-    tangency_bad = tangency > AUDIT_TOL_TANGENCY
+    tangency = float(np.max([np.abs(x.sum(axis=1)).max() for x in (first_flow, first_smooth, second_flow)]))
+    tangency_bad = not (tangency <= AUDIT_TOL_TANGENCY)
 
     violations = int(tangency_bad)
     table = []
@@ -638,7 +621,7 @@ def run_derivative_audit(spec: ExperimentSpec) -> ExperimentReport:
         ("second_flow_vs_fd", second_flow, second_fd, AUDIT_TOL_SECOND),
     ):
         gaps = _relative_gap(a, b)
-        count = int((gaps > tolerance).sum())
+        count = int((~(gaps <= tolerance)).sum())
         violations += count
         table.append(
             {"comparison": name, "max_relative_gap": float(gaps.max()),
@@ -646,15 +629,12 @@ def run_derivative_audit(spec: ExperimentSpec) -> ExperimentReport:
              "violations": count}
         )
 
-    return ExperimentReport(
-        experiment="derivative-audit",
-        master_seed=spec.master_seed,
-        n_trials=m,
+    return _report(
+        "derivative-audit", spec, m,
         constants={"horizon": float(t_audit), "fd_step_first": eps, "fd_step_second": eps2},
         table=table,
         supplementary={"max_tangency_sum": tangency, "tangency_ok": bool(not tangency_bad)},
         violations=violations,
-        config=spec_to_mapping(spec),
     )
 
 
@@ -718,15 +698,13 @@ def run_integrator_refinement(spec: ExperimentSpec) -> ExperimentReport:
     # of the refined observation polygon, so it is reported, not asserted; the
     # one-cell solver order is the enforceable check.
     violations = 0
-    if any(r < 8.0 for r in ode_ratios):
+    if not all(r >= 8.0 for r in ode_ratios):
         violations += 1
     coarsest_ratio = gauge_errors[0] / max(gauge_errors[1], 1e-300)
 
     observed_order = [math.log2(r) for r in ode_ratios]
-    return ExperimentReport(
-        experiment="integrator-refinement",
-        master_seed=spec.master_seed,
-        n_trials=m,
+    return _report(
+        "integrator-refinement", spec, m,
         constants={"horizon": float(t_r), "reference_dt": dt_ref},
         table=table,
         supplementary={
@@ -736,7 +714,6 @@ def run_integrator_refinement(spec: ExperimentSpec) -> ExperimentReport:
             "coarsest_halving_ratio": coarsest_ratio,
         },
         violations=violations,
-        config=spec_to_mapping(spec),
     )
 
 

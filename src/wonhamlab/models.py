@@ -117,6 +117,8 @@ def validate_simplex(weights, *, allow_boundary: bool = False) -> np.ndarray:
     arr = np.asarray(weights, dtype=float)
     if arr.ndim != 1:
         raise BoundaryInitialConditionError("probability vector must be flat")
+    if not np.isfinite(arr).all():
+        raise BoundaryInitialConditionError("probability vector has a non-finite component")
     if abs(arr.sum() - 1.0) > SIMPLEX_TOL:
         raise BoundaryInitialConditionError(f"weights sum to {arr.sum():.12f}, not 1")
     if allow_boundary:
@@ -132,6 +134,8 @@ def validate_tangent(components) -> np.ndarray:
     arr = np.asarray(components, dtype=float)
     if arr.ndim != 1:
         raise DimensionMismatchError("tangent vector must be flat")
+    if not np.isfinite(arr).all():
+        raise DimensionMismatchError("tangent vector has a non-finite component")
     if abs(arr.sum()) > TANGENT_TOL:
         raise DimensionMismatchError(f"tangent components sum to {arr.sum():.3e}, not 0")
     return _readonly(arr)

@@ -10,6 +10,7 @@ and noise streams stay independent.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.t_end <= 0.0:
-            raise GridMismatchError("need dt > 0 and t_end > 0")
+        if not (self.dt > 0.0 and self.t_end > 0.0 and math.isfinite(self.t_end / self.dt)):
+            raise GridMismatchError(f"need finite dt > 0 and t_end > 0, got dt={self.dt}, t_end={self.t_end}")
         n = round(self.t_end / self.dt)
         if n < 1 or abs(n * self.dt - self.t_end) > 1e-12 * max(1.0, self.t_end):
             raise GridMismatchError(f"t_end={self.t_end} is not an integer multiple of dt={self.dt}")
@@ -44,6 +45,8 @@ class TimeGrid:
 
     def node(self, t: float) -> int:
         """Index of the grid node at time t; raises if t is off the grid."""
+        if not math.isfinite(t):
+            raise GridMismatchError(f"t={t} is not a node of the grid (dt={self.dt})")
         idx = round(t / self.dt)
         if idx < 0 or idx > self.n_steps or abs(idx * self.dt - t) > NODE_TOL:
             raise GridMismatchError(f"t={t} is not a node of the grid (dt={self.dt})")

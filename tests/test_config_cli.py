@@ -199,6 +199,21 @@ class TestCliRun:
         assert code == 1
         assert "ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, error", [
+        ("t_end: 2.0", "t_end: .inf", "GridMismatchError"),
+        ("t_end: 2.0", "t_end: .nan", "GridMismatchError"),
+        ("dt: 0.001", "dt: .nan", "GridMismatchError"),
+        ("initial: [0.5, 0.5]", "initial: [.nan, 0.5]", "BoundaryInitialConditionError"),
+        ("checkpoints: [0.0, 1.0, 2.0]", "checkpoints: [0.0, .nan]", "ConfigError"),
+    ])
+    def test_non_finite_input_exits_one(self, tmp_path, capsys, old, new, error):
+        path = tmp_path / "non-finite.yaml"
+        path.write_text(GOOD_CONFIG.replace(old, new))
+        code = main(["run", str(path), "inverse-moment", "--out", str(tmp_path)])
+        assert code == 1
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("inverse-moment-*"))
+
     @pytest.mark.parametrize("field, value", [("strict_tolerance", '"false"'), ("n_trials", "150.9"),
                                               ("seed", "3.7"), ("sweep_components", "initial")])
     def test_coercible_field_exits_one(self, tmp_path, capsys, field, value):

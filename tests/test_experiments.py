@@ -65,6 +65,12 @@ class TestExperimentSpec:
         spec = make_spec(small_pair, t_end=2.0, checkpoints=(0.0, 1.0, 2.0, 5.0, 10.0))
         assert spec.checkpoints == (0.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("checkpoints", [(0.0, math.nan), (math.nan,), (0.0, -math.inf),
+                                             (0.0, 1.0, math.inf)])
+    def test_rejects_non_finite_checkpoints(self, small_pair, checkpoints):
+        with pytest.raises(wl.ConfigError, match="finite"):
+            make_spec(small_pair, checkpoints=checkpoints)
+
     def test_rejects_bad_sweep(self, small_pair):
         with pytest.raises(wl.ConfigError):
             make_spec(small_pair, sweep_sizes=(0.1, 0.2))
@@ -385,6 +391,93 @@ class TestIntegratorRefinement:
         assert [row["gauge_error"] for row in report.table] == gauge
         ode = [float(np.abs(e - substeps[-1]).sum(axis=1).mean()) for e in substeps[:-1]]
         assert report.supplementary["ode_refinement_errors"] == ode
+
+
+def poison_last_filter(monkeypatch, trial=0):
+    """Make every lockstep stack report NaN for one trial of its last filter."""
+    real = experiments._lockstep
+
+    def poisoned(filters, increments, dt):
+        for states in real(filters, increments, dt):
+            states = states.copy()
+            states[-1, trial] = np.nan
+            yield states
+
+    monkeypatch.setattr(experiments, "_lockstep", poisoned)
+
+
+class TestNanCountsAsViolation:
+    """A NaN statistic fails its comparison: every check is written so that
+    only a value inside its limit passes."""
+
+    @pytest.mark.parametrize("where", ["samples", "bound", "allowance"])
+    def test_rows(self, where):
+        samples = np.ones((100, 2))
+        bounds, allowance = [2.0, 2.0], 0.0
+        if where == "samples":
+            samples[7, 1] = np.nan
+        elif where == "bound":
+            bounds[1] = math.nan
+        else:
+            allowance = math.nan
+        rows, inconclusive = experiments._rows(samples, "mean", (0.0, 1.0), bounds, allowance)
+        assert [row["violation"] for row in rows] == [where == "allowance", True]
+        assert not inconclusive
+
+    def test_robustness_rows_and_l1_dominance(self, small_pair, monkeypatch):
+        spec = make_spec(small_pair, t_end=1.0, n_trials=100, checkpoints=(0.0, 0.5, 1.0))
+        poison_last_filter(monkeypatch)
+        report = wl.run_robustness_experiment(spec)
+        recorded = len(set(experiments._dense_nodes(spec.grid)) | {0, 500, 1000})
+        assert report.supplementary["l1_dominance_violations"] == recorded
+        assert all(row["violation"] for row in report.table)
+        assert report.violations == len(report.table) + recorded
+        assert not report.supplementary["escalated"]
+
+    def test_forgetting_excursions(self, small_pair, monkeypatch):
+        spec = make_spec(small_pair, t_end=1.0, n_trials=100, checkpoints=(0.0, 0.5, 1.0))
+        poison_last_filter(monkeypatch, trial=42)
+        report = wl.run_forgetting_experiment(spec)
+        assert report.supplementary["pathwise_violations"] == spec.grid.n_steps + 1
+        assert all(row["violation"] for row in report.table)
+        assert report.violations == len(report.table) + spec.grid.n_steps + 1
+
+    def test_inverse_moment_rows(self, small_pair, monkeypatch):
+        spec = make_spec(small_pair, t_end=1.0, n_trials=100, checkpoints=(0.0, 0.5, 1.0))
+        poison_last_filter(monkeypatch)
+        report = wl.run_inverse_moment_experiment(spec)
+        assert report.violations == 3
+        assert all(row["violation"] for row in report.table)
+
+    @pytest.mark.parametrize("route, rows", [
+        ("derivative_from_flow", {"flow_vs_smoothing", "flow_vs_fd"}),
+        ("derivative_from_smoothing", {"flow_vs_smoothing", "smoothing_vs_fd"}),
+        ("second_derivative_from_flow", {"second_flow_vs_fd"}),
+    ])
+    def test_derivative_audit_gaps_and_tangency(self, small_pair, monkeypatch, route, rows):
+        real = getattr(experiments, route)
+
+        def poisoned(*args):
+            out = real(*args).copy()
+            out[3, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(experiments, route, poisoned)
+        report = wl.run_derivative_audit(make_spec(small_pair, t_end=1.0, n_trials=100,
+                                                   checkpoints=(0.0, 1.0)))
+        counts = {row["comparison"]: row["violations"] for row in report.table}
+        assert counts == {name: int(name in rows) for name in counts}
+        assert not report.supplementary["tangency_ok"]
+        assert report.violations == len(rows) + 1
+
+    def test_integrator_refinement_order(self, small_pair, monkeypatch):
+        poison_last_filter(monkeypatch)
+        report = wl.run_integrator_refinement(make_spec(small_pair, t_end=1.0, n_trials=100,
+                                                        checkpoints=(0.0, 1.0)))
+        # Only the coarsest stack has no sub-step rows, so only the first ratio is NaN.
+        first, *rest = report.supplementary["ode_refinement_ratios"]
+        assert math.isnan(first) and all(r >= 8.0 for r in rest)
+        assert report.violations == 1
 
 
 class TestRegistry:

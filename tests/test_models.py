@@ -225,6 +225,19 @@ class TestSimplexAndTangent:
         with pytest.raises(wl.DimensionMismatchError):
             wl.validate_tangent([0.5, -0.4])
 
+    @pytest.mark.parametrize("weights", [[math.nan, 0.5], [math.nan, 1.0], [math.inf, -math.inf],
+                                         [math.inf, 0.0], [0.25, 0.75, math.nan]])
+    @pytest.mark.parametrize("allow_boundary", [False, True])
+    def test_simplex_rejects_non_finite(self, weights, allow_boundary):
+        with pytest.raises(wl.BoundaryInitialConditionError, match="non-finite"):
+            wl.validate_simplex(weights, allow_boundary=allow_boundary)
+
+    @pytest.mark.parametrize("components", [[math.inf, -math.inf], [math.nan, 0.0],
+                                            [0.5, -0.5, math.nan], [-math.inf, math.inf, 0.0]])
+    def test_tangent_rejects_non_finite(self, components):
+        with pytest.raises(wl.DimensionMismatchError, match="non-finite"):
+            wl.validate_tangent(components)
+
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=5))
     @settings(max_examples=100, deadline=None)
     def test_normalized_weights_always_validate(self, weights):

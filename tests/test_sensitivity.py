@@ -48,6 +48,27 @@ class TestDerivativeFlow:
         fd = (up - down) / (2 * eps)
         assert np.abs(flow_route - fd).sum() <= 1e-4 * np.abs(fd).sum()
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_rk4_route_differences(self, observe, d):
+        """Central differences of the RK4 route started from nu +- eps v share
+        no code with the gauge kernel behind the flow route."""
+        rng = np.random.default_rng(40 + d)
+        for path in range(3):
+            off = rng.uniform(0.3, 1.5, (d, d))
+            np.fill_diagonal(off, 0.0)
+            nu = rng.uniform(0.2, 1.0, d)
+            model = wl.FilterModel.from_raw(nu / nu.sum(), off - np.diag(off.sum(axis=1)),
+                                            np.linspace(-1.0, 1.0, d) + rng.uniform(-0.1, 0.1, d))
+            obs = observe(model, 1.0, 1e-3, 100 * d + path)
+            z = rng.standard_normal(d)
+            v = (z - z.mean()) / np.abs(z - z.mean()).sum()
+            nu, gen, levels = model.initial, model.generator, model.observation
+            flow_route = wl.derivative_flow(nu, v, 0.0, 1.0, obs, gen, levels)
+            for eps in (1e-4, 1e-5, 1e-6):
+                fd = (wl.projected_filter_trajectory(nu + eps * v, gen, levels, obs)[-1]
+                      - wl.projected_filter_trajectory(nu - eps * v, gen, levels, obs)[-1]) / (2 * eps)
+                assert np.abs(flow_route - fd).sum() <= 1e-5 * np.abs(flow_route).sum()
+
     def test_matches_smoothing_route(self, ref_model, ref_obs):
         v = wl.validate_tangent([0.5, -0.5])
         flow_route = wl.derivative_flow(ref_model.initial, v, 0.0, 1.0, ref_obs,

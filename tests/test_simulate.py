@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,17 @@ class TestTimeGrid:
     def test_incompatible_horizon_rejected(self):
         with pytest.raises(wl.GridMismatchError):
             wl.TimeGrid(1.0005, 1e-3)
+
+    @pytest.mark.parametrize("t_end, dt", [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan),
+                                           (1.0, math.inf), (math.inf, math.inf), (1.0, 1e-320)])
+    def test_non_finite_grid_rejected(self, t_end, dt):
+        with pytest.raises(wl.GridMismatchError):
+            wl.TimeGrid(t_end, dt)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_node_rejected(self, t):
+        with pytest.raises(wl.GridMismatchError):
+            wl.TimeGrid(1.0, 1e-3).node(t)
 
     def test_refined(self):
         grid = wl.TimeGrid(2.0, 1e-3)
