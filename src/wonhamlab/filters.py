@@ -30,7 +30,10 @@ the diagonal rates and levels concatenated, the F off-diagonal blocks on the
 diagonal of one (F * d, F * d) matrix.  Each RK4 stage is then one 2-D matrix
 product over the paths, and each node renormalizes every block by one product
 with the block-diagonal matrix of ones.  The exact zeros off the blocks add
-nothing to any sum.
+nothing to any sum.  The stack computes the gauge exponentials of a block of
+cells at once, from a C-ordered copy of the block's increments, and hands
+each cell's kernel call its own contiguous slices; the exponentials are
+elementwise, so no value moves.
 
 Two routes solve the nonlinear, normalized equation instead.  The projected
 route (``projected_filter_trajectory``) takes one RK4 step of its Wong-Zakai
@@ -65,6 +68,10 @@ CONDITION_THRESHOLD = 1e12
 # products per cell and its maps are the scan's whole working set; much shorter
 # blocks pay the per-block call overhead instead.
 _SCAN_BLOCK = 512
+# Cells per block of the lockstep stack's gauge factors: one exponential call
+# per block in place of one per cell.  Shorter blocks give back much of the
+# saving; the two factor arrays hold 2 * 16 * m * F * d doubles.
+_GAUGE_BLOCK = 16
 
 
 def normalize(x) -> np.ndarray:
@@ -118,7 +125,17 @@ def _gauge_exponents(d_y, dt: float, s_diag: np.ndarray, levels: np.ndarray) -> 
     return 0.5 * levels**2 - s_diag - levels * slope
 
 
-def propagate_cell(values, d_y, dt, s_diag, t_off, levels) -> np.ndarray:
+def _gauge_factors(d_y, dt: float, s_diag: np.ndarray, levels: np.ndarray,
+                   out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    # The gauge factors at the middle and the end of the cell, exp(c dt / 2)
+    # and exp(c dt), written into the arrays of ``out`` when it holds them.
+    c = _gauge_exponents(d_y, dt, s_diag, levels)
+    e_half = np.multiply(c, 0.5 * dt, out=out[0])
+    e_full = np.multiply(c, dt, out=out[1])
+    return np.exp(e_half, out=e_half), np.exp(e_full, out=e_full)
+
+
+def propagate_cell(values, d_y, dt, s_diag, t_off, levels, factors=None) -> np.ndarray:
     """Advance unnormalized filter vectors across one grid cell (RK4 on the gauge ODE).
 
     ``values`` has shape (..., d) and ``d_y`` broadcasts over the leading axes.
@@ -129,11 +146,10 @@ def propagate_cell(values, d_y, dt, s_diag, t_off, levels) -> np.ndarray:
     (F, 1, d) and ``t_off`` (F, d, d), still broadcast to one stacked matmul
     per stage, but the package no longer calls the kernel that way.  The image
     is entrywise positive whenever the input is, unless a weight underflows
-    to 0.0.
+    to 0.0.  ``factors``, when given, is the pair ``_gauge_factors`` returns
+    for ``d_y``; ``_lockstep`` computes it for a block of cells at once.
     """
-    c = _gauge_exponents(d_y, dt, s_diag, levels)
-    e_half = np.exp(c * (0.5 * dt))
-    e_full = np.exp(c * dt)
+    e_half, e_full = _gauge_factors(d_y, dt, s_diag, levels) if factors is None else factors
     t_rows = np.swapaxes(t_off, -1, -2)
     shape = None
     if t_off.ndim == 2 and np.ndim(values) > 2:
@@ -263,10 +279,17 @@ def _lockstep(filters, increments, dt):
     m = increments.shape[0]
     states = np.tile(np.concatenate(initials).astype(float), (m, 1))
     yield states.reshape(m, count, d).swapaxes(0, 1)
-    for k in range(increments.shape[1]):
-        states = propagate_cell(states, increments[:, k], dt, s_diag, t_off, levels)
-        states /= states @ block_ones
-        yield states.reshape(m, count, d).swapaxes(0, 1)
+    factors = np.empty((2, _GAUGE_BLOCK, m, count * d))
+    for lo in range(0, increments.shape[1], _GAUGE_BLOCK):
+        # A C-ordered copy of the block's increments keeps the whole block
+        # computation C-ordered; each cell's factors are then one contiguous
+        # (m, F * d) slice of the preallocated arrays.
+        d_y = np.ascontiguousarray(increments[:, lo:lo + _GAUGE_BLOCK].T)
+        e_half, e_full = _gauge_factors(d_y, dt, s_diag, levels, factors[:, :len(d_y)])
+        for j, step in enumerate(d_y):
+            states = propagate_cell(states, step, dt, s_diag, t_off, levels, (e_half[j], e_full[j]))
+            states /= states @ block_ones
+            yield states.reshape(m, count, d).swapaxes(0, 1)
 
 
 def _trajectories(filters, increments, dt) -> np.ndarray:

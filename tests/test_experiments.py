@@ -192,6 +192,18 @@ class TestForgettingExperiment:
         for row in report.table:
             assert row["mean_gap"] == 0.0
 
+    @pytest.mark.parametrize("same_laws, t_end", [(True, 3.0), (False, 1.0)])
+    def test_rate_passes_when_no_fit_is_possible(self, small_pair, same_laws, t_end):
+        """No gap to fit (identical initial laws), or no window node (t_end < 2)."""
+        truth, approx = small_pair.true_model, small_pair.approx_model
+        if same_laws:
+            approx = dataclasses.replace(approx, initial=truth.initial)
+        pair = wl.ModelPair(true_model=truth, approx_model=approx)
+        report = wl.run_forgetting_experiment(make_spec(pair, t_end=t_end, n_trials=100,
+                                                        checkpoints=(0.0, 1.0)))
+        assert math.isnan(report.supplementary["fitted_rate"])
+        assert report.supplementary["rate_within_bound"]
+
     def test_thousand_paths_no_violations_and_rate(self, ref_model):
         approx = wl.FilterModel.from_raw([0.2, 0.8], [[-1.0, 1.0], [1.0, -1.0]], [0.0, 1.0])
         pair = wl.ModelPair(true_model=ref_model, approx_model=approx)
@@ -441,6 +453,14 @@ class TestNanCountsAsViolation:
         assert report.supplementary["pathwise_violations"] == spec.grid.n_steps + 1
         assert all(row["violation"] for row in report.table)
         assert report.violations == len(report.table) + spec.grid.n_steps + 1
+
+    def test_forgetting_rate(self, small_pair, monkeypatch):
+        spec = make_spec(small_pair, t_end=3.0, n_trials=100, checkpoints=(0.0, 3.0))
+        poison_last_filter(monkeypatch, trial=42)
+        report = wl.run_forgetting_experiment(spec)
+        assert math.isnan(report.supplementary["fitted_rate"])
+        assert not report.supplementary["rate_within_bound"]
+        assert report.violations == len(report.table) + spec.grid.n_steps + 2
 
     def test_inverse_moment_rows(self, small_pair, monkeypatch):
         spec = make_spec(small_pair, t_end=1.0, n_trials=100, checkpoints=(0.0, 0.5, 1.0))

@@ -11,8 +11,10 @@ from scipy.linalg import expm
 import wonhamlab as wl
 from wonhamlab.experiments import _euler_batch_values
 from wonhamlab.filters import (
+    _GAUGE_BLOCK,
     _SCAN_BLOCK,
     _cell_maps,
+    _gauge_factors,
     _lockstep,
     _prefix_products,
     _scan_path,
@@ -21,7 +23,13 @@ from wonhamlab.filters import (
     propagate_cell_matrix,
     split_rate_matrix,
 )
-from wonhamlab.sensitivity import _endpoint_flows, derivative_from_flow, derivative_opnorm_from_flow
+from wonhamlab.sensitivity import (
+    _backward_flows,
+    _endpoint_flows,
+    _suffix_flows,
+    derivative_from_flow,
+    derivative_opnorm_from_flow,
+)
 
 
 class TestNormalize:
@@ -670,6 +678,19 @@ class TestCellKernels:
         assert_relative(out, einsum_cell(values, d_y, dt, *parts))
         assert_relative(out, propagate_cell(np.tile(values, (width, 1)), d_y, dt, *parts))
 
+    @given(d=st.integers(2, 10), form=st.sampled_from(["scalar", "rows", "broadcast"]),
+           width=st.integers(1, 7), dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 2**32 - 1))
+    @KERNEL_SETTINGS
+    def test_given_factors_equal_default(self, d, form, width, dt, seed):
+        """Factors built by ``_gauge_factors`` and passed in give the default call, bit for bit."""
+        rng = np.random.default_rng(seed)
+        s_diag, t_off, levels = parts = kernel_parts(random_model(rng, d, bool(rng.integers(2))))
+        values = rng.uniform(0.01, 1.0, size=(d,) if form != "rows" else (width, d))
+        d_y = float(rng.normal(0.0, 0.1)) if form == "scalar" else rng.normal(0.0, 0.1, size=width)
+        factors = _gauge_factors(d_y, dt, s_diag, levels)
+        assert np.array_equal(propagate_cell(values, d_y, dt, *parts, factors),
+                              propagate_cell(values, d_y, dt, *parts))
+
     @given(d=st.integers(2, 6), n_filters=st.integers(1, 3), width=st.integers(1, 7),
            seed=st.integers(0, 2**32 - 1))
     @KERNEL_SETTINGS
@@ -723,8 +744,71 @@ def stacked_lockstep(filters, increments, dt):
         yield states
 
 
+def per_cell_lockstep(filters, increments, dt):
+    """Reference driver: the block-diagonal stack with its gauge factors
+    computed inside every kernel call, one cell at a time."""
+    initials, generators, observations = zip(*filters)
+    parts = [split_rate_matrix(g) for g in generators]
+    count, d = len(parts), parts[0][0].shape[0]
+    s_diag = np.concatenate([p[0] for p in parts])
+    blocks = np.stack([p[1] for p in parts])
+    t_off = (np.eye(count)[:, None, :, None] * blocks[:, :, None, :]).reshape(count * d, count * d)
+    levels = np.concatenate([o.levels for o in observations])
+    block_ones = np.kron(np.eye(count), np.ones((d, d)))
+    m = increments.shape[0]
+    states = np.tile(np.concatenate(initials).astype(float), (m, 1))
+    yield states.reshape(m, count, d).swapaxes(0, 1)
+    for k in range(increments.shape[1]):
+        states = propagate_cell(states, increments[:, k], dt, s_diag, t_off, levels)
+        states /= states @ block_ones
+        yield states.reshape(m, count, d).swapaxes(0, 1)
+
+
 class TestBlockDiagonalStack:
     """``_lockstep`` advances F filters as one model with F * d states."""
+
+    # Empty, one cell, one short block, one full block, a block and one cell,
+    # two full blocks and one cell, and many blocks.
+    @pytest.mark.parametrize("n", [0, 1, _GAUGE_BLOCK - 1, _GAUGE_BLOCK, _GAUGE_BLOCK + 1,
+                                   2 * _GAUGE_BLOCK + 1, 1000])
+    @pytest.mark.parametrize("width", [1, 2, 5, 200])
+    @given(d=st.integers(2, 10), n_filters=st.integers(1, 4), dt=st.sampled_from([1e-3, 1e-2]),
+           mixing=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, deadline=None, max_examples=3)
+    def test_blocked_factors_match_per_cell_loop(self, width, n, d, n_filters, dt, mixing, seed):
+        """Gauge factors computed per block of cells give the per-cell loop,
+        bit for bit, at every node."""
+        rng = np.random.default_rng(seed)
+        models = [random_model(rng, d, mixing[f]) for f in range(n_filters)]
+        filters = [(m.initial, m.generator, m.observation) for m in models]
+        increments = rng.normal(0.0, math.sqrt(dt), size=(width, n))
+        for got, want in zip(_lockstep(filters, increments, dt),
+                             per_cell_lockstep(filters, increments, dt), strict=True):
+            assert np.array_equal(got, want)
+
+    def test_each_cell_gets_contiguous_factors(self, monkeypatch):
+        """One kernel call per cell, each given its own (m, F * d) factor
+        slices, C-ordered."""
+        rng = np.random.default_rng(5)
+        models = [random_model(rng, 3, f % 2 == 0) for f in range(3)]
+        width, n = 5, 2 * _GAUGE_BLOCK + 3
+        increments = rng.normal(0.0, math.sqrt(1e-3), size=(width, n))
+        calls = []
+        real = wl.filters.propagate_cell
+
+        def recorded(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(wl.filters, "propagate_cell", recorded)
+        for _ in _lockstep([(m.initial, m.generator, m.observation) for m in models], increments, 1e-3):
+            pass
+        assert len(calls) == n
+        for k, args in enumerate(calls):
+            assert np.array_equal(args[1], increments[:, k])
+            assert len(args[6]) == 2
+            for factor in args[6]:
+                assert factor.shape == (width, 9) and factor.flags.c_contiguous
 
     @given(d=st.integers(2, 10), n_filters=st.integers(1, 4), width=st.integers(1, 6),
            n=st.sampled_from([0, 1, 37]), dt=st.sampled_from([1e-3, 1e-2]),
@@ -870,6 +954,29 @@ class TestOnePathRoutes:
         assert flows.shape == reference.shape == shape[:-1] + (n + 1, model.d, model.d)
         assert np.array_equal(flows[..., n, :, :], reference[..., n, :, :])
         assert np.abs(flows - reference).sum(axis=(-2, -1)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", ROUTE_LENGTHS)
+    @given(model=scan_models(), width=st.integers(2, 4), dt=st.sampled_from([1e-3, 1e-2]),
+           seed=st.integers(0, 999))
+    @SCAN_SETTINGS
+    def test_endpoint_flow_routes_agree(self, model, width, n, dt, seed):
+        """A batch of paths takes the backward loop and one path the suffix
+        scan; on the same batch the two routes agree within 1e-12."""
+        rng = np.random.default_rng(seed)
+        maps = _cell_maps(rng.normal(0.0, math.sqrt(dt), size=(width, n)), dt, *kernel_parts(model))
+        flows = _endpoint_flows(maps)
+        backward, suffix = flows.copy(), flows.copy()
+        backward[..., :-1, :, :] = suffix[..., :-1, :, :] = np.nan
+        _backward_flows(maps, backward)
+        _suffix_flows(maps, suffix)
+        assert np.array_equal(flows, backward)
+        assert flows.shape == (width, n + 1, model.d, model.d)
+        assert np.abs(suffix - backward).sum(axis=(-2, -1)).max() <= 1e-12
+        for one_path in (maps[:1], maps[0]):
+            suffix = _endpoint_flows(one_path)
+            suffix[..., :-1, :, :] = np.nan
+            _suffix_flows(one_path, suffix)
+            assert np.array_equal(_endpoint_flows(one_path), suffix)
 
     @given(d=st.integers(2, 6), width=st.integers(2, 9), split=st.integers(2, 4),
            dt=st.sampled_from([1e-3, 4e-3]), seed=st.integers(0, 2**32 - 1))

@@ -390,7 +390,7 @@ class TestRobustnessInequality:
                 grid, 51_000 + chunk_seed, 250,
             )
             lhs, rhs = _robustness_inequality_batch(increments, grid.dt, pair)
-            violations += int((lhs > rhs + allowance).sum())
+            violations += int((~(lhs <= rhs + allowance)).sum())
         assert violations == 0
 
     def test_opnorm_dominates_specific_directions(self, ref_model, ref_obs):
