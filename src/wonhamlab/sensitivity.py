@@ -199,34 +199,16 @@ def _endpoint_flows(propagators: np.ndarray) -> np.ndarray:
     """Unit-mass propagators from every grid node to the final node.
 
     ``propagators`` holds the per-cell maps, shape (..., n, d, d); the result has
-    shape (..., n + 1, d, d) with the identity in the last slot.  The route is
-    picked by the number of paths, as ``_trajectories`` picks its driver: one
-    path runs a suffix scan, where a per-cell loop would pay one call per cell;
-    a batch runs a backward loop, where one product per cell already covers
-    every path and the scan's log2(n) products per cell would cost more.
+    shape (..., n + 1, d, d) with the identity in the last slot.  A suffix scan:
+    the prefix products of the reversed, transposed maps are the transposed
+    products from each node to the end.
     """
     n, d = propagators.shape[-3], propagators.shape[-1]
     out = np.empty(propagators.shape[:-3] + (n + 1, d, d))
     out[..., n, :, :] = np.eye(d)
-    route = _backward_flows if math.prod(propagators.shape[:-3]) >= 2 else _suffix_flows
-    route(propagators, out)
-    return out
-
-
-def _suffix_flows(propagators: np.ndarray, out: np.ndarray) -> None:
-    # Fills out[..., :n]: the prefix products of the reversed, transposed maps
-    # are the transposed products from each node to the end.
     prods, _ = _prefix_products(np.swapaxes(propagators[..., ::-1, :, :], -1, -2))
-    out[..., :-1, :, :] = np.swapaxes(prods[..., ::-1, :, :], -1, -2)
-
-
-def _backward_flows(propagators: np.ndarray, out: np.ndarray) -> None:
-    # Fills out[..., :n] from out[..., n] backward, one product per cell,
-    # renormalized to unit mass at every cell.
-    for k in range(propagators.shape[-3] - 1, -1, -1):
-        current = out[..., k + 1, :, :] @ propagators[..., k, :, :]
-        current /= current.sum(axis=(-1, -2), keepdims=True)
-        out[..., k, :, :] = current
+    out[..., :n, :, :] = np.swapaxes(prods[..., ::-1, :, :], -1, -2)
+    return out
 
 
 def error_representation_check(t, obs: ObservationPath, pair: ModelPair) -> float:
