@@ -28,7 +28,6 @@ from .errors import (
     UnknownExperimentError,
 )
 from .filters import (
-    EULER_FLOOR,
     _lockstep,
     _scan_path,
     propagate_cell_matrix,
@@ -222,12 +221,11 @@ def measure_integrator_tolerance(model: FilterModel, grid: TimeGrid, master_seed
     obs_fine = simulate_observations(path, model.observation, fine,
                                      np.random.Generator(np.random.Philox(noise)))
     steps = obs_fine.increments.reshape(-1, 2)
-    s_diag, t_off = split_rate_matrix(model.generator)
-    levels = model.observation.levels
     # Both filters advance block by block in lockstep: a fine step is the two
     # fine cells inside one coarse cell, so node k of each block is the same time.
-    fine_blocks = _scan_path(model.initial, steps, fine.dt, s_diag, t_off, levels)
-    coarse_blocks = _scan_path(model.initial, steps.sum(axis=1), grid.dt, s_diag, t_off, levels)
+    fine_blocks = _scan_path(model.initial, steps, fine.dt, model.generator, model.observation)
+    coarse_blocks = _scan_path(model.initial, steps.sum(axis=1), grid.dt, model.generator,
+                               model.observation)
     gap = 0.0
     for (rho_f, _), (rho_c, _) in zip(fine_blocks, coarse_blocks):
         gap = max(gap, float(np.abs(rho_f - rho_c).sum(axis=1).max()))
@@ -240,11 +238,11 @@ def _allowance(spec: ExperimentSpec) -> float:
     return ALLOWANCE_FACTOR * measure_integrator_tolerance(spec.pair.true_model, spec.grid, spec.master_seed)
 
 
-def _euler_batch_values(initial, increments, dt, generator, observation, floor=EULER_FLOOR):
+def _euler_batch_values(initial, increments, dt, generator, observation):
     """Endpoint of the Euler diagnostic route for a batch of paths."""
     pi = np.broadcast_to(np.asarray(initial, dtype=float), (increments.shape[0], generator.d)).copy()
     for k in range(increments.shape[1]):
-        pi = wonham_step(pi, increments[:, k], dt, generator, observation, floor)
+        pi = wonham_step(pi, increments[:, k], dt, generator, observation)
     return pi
 
 
@@ -605,13 +603,17 @@ def run_derivative_audit(spec: ExperimentSpec) -> ExperimentReport:
     first_smooth = derivative_from_smoothing(flows, nu, v)
     second_flow = second_derivative_from_flow(flows, nu, v)
 
-    def projected(x):
-        image = _apply(flows, x)
+    def projected(x, entries=flows):
+        image = _apply(entries, x)
         return image / image.sum(axis=1, keepdims=True)
 
     eps, eps2 = FD_STEP_FIRST, FD_STEP_SECOND
     first_fd = (projected(nu + eps * v) - projected(nu - eps * v)) / (2 * eps)
-    second_fd = (projected(nu + eps2 * v) - 2.0 * projected(nu) + projected(nu - eps2 * v)) / eps2**2
+    # Where f'' is near zero the second difference of doubles is only rounding,
+    # so it is formed in extended precision (double where longdouble is double).
+    wide = flows.astype(np.longdouble)
+    second_fd = ((projected(nu + eps2 * v, wide) - 2.0 * projected(nu, wide)
+                  + projected(nu - eps2 * v, wide)) / eps2**2).astype(float)
     tangency = float(np.max([np.abs(x.sum(axis=1)).max() for x in (first_flow, first_smooth, second_flow)]))
     tangency_bad = not (tangency <= AUDIT_TOL_TANGENCY)
 

@@ -7,15 +7,16 @@ keeps every iterate nonnegative by construction, and strictly positive wherever
 the true weight is a normal double (with no rate into a state, its weight can
 underflow to 0.0).  Each grid cell is solved with one classical RK4 step,
 holding the observation path piecewise linear inside the cell.  There is one
-cell kernel, ``propagate_cell``; the propagator route (``zakai_flow``) advances
-matrices with it column-wise, as the rows of their transpose.
+cell kernel, ``propagate_cell``, on one vector (d,) or rows (m, d);
+``propagate_cell_matrix`` advances matrices column-wise, as rows, and is the
+one place that flattens leading axes.
 
 The per-cell maps of the linear equation do not depend on the state, so their
 products are associative.  Every recursion along one observation path runs
 through one blocked prefix-scan driver: ``filter_trajectory``, ``gauge_filter``,
 ``zakai_flow``, the step-halving probe, and the trajectories of the robustness
-inequality and the error-representation check.  Per block of cells, one kernel
-call on the broadcast identity gives the block's maps, a Hillis-Steele scan
+inequality and the error-representation check.  Per block of cells,
+``cell_propagators`` gives the block's maps, a Hillis-Steele scan
 forms their products rescaled to unit mass with the log masses summed apart,
 and the products are applied to the carried vector or matrix, whose last node
 and log mass carry into the next block.  The endpoint flows of those two checks
@@ -118,18 +119,12 @@ def split_rate_matrix(generator: GeneratorMatrix) -> tuple[np.ndarray, np.ndarra
     return s_diag, t_off
 
 
-def _gauge_exponents(d_y, dt: float, s_diag: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    # Per-state exponent rate of the diagonal gauge over one cell, with the
-    # observation path interpolated linearly inside the cell.
-    slope = np.asarray(d_y, dtype=float)[..., None] / dt
-    return 0.5 * levels**2 - s_diag - levels * slope
-
-
 def _gauge_factors(d_y, dt: float, s_diag: np.ndarray, levels: np.ndarray,
                    out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
-    # The gauge factors at the middle and the end of the cell, exp(c dt / 2)
-    # and exp(c dt), written into the arrays of ``out`` when it holds them.
-    c = _gauge_exponents(d_y, dt, s_diag, levels)
+    # The gauge factors exp(c dt / 2) and exp(c dt) at the middle and the end of
+    # the cell, written into the arrays of ``out`` when it holds them; c is the
+    # per-state exponent rate, with the observation path linear inside the cell.
+    c = 0.5 * levels**2 - s_diag - levels * (np.asarray(d_y, dtype=float)[..., None] / dt)
     e_half = np.multiply(c, 0.5 * dt, out=out[0])
     e_full = np.multiply(c, dt, out=out[1])
     return np.exp(e_half, out=e_half), np.exp(e_full, out=e_full)
@@ -138,26 +133,17 @@ def _gauge_factors(d_y, dt: float, s_diag: np.ndarray, levels: np.ndarray,
 def propagate_cell(values, d_y, dt, s_diag, t_off, levels, factors=None) -> np.ndarray:
     """Advance unnormalized filter vectors across one grid cell (RK4 on the gauge ODE).
 
-    ``values`` has shape (..., d) and ``d_y`` broadcasts over the leading axes.
-    With one model (``t_off`` of shape (d, d)) every leading axis becomes a row
-    of one (rows, d) @ (d, d) product; a Monte Carlo stack of several models
-    is one such model with a block-diagonal ``t_off`` (see ``_lockstep``).
-    Stacked models, ``values`` (F, m, d) with ``s_diag`` and ``levels``
-    (F, 1, d) and ``t_off`` (F, d, d), still broadcast to one stacked matmul
-    per stage, but the package no longer calls the kernel that way.  The image
-    is entrywise positive whenever the input is, unless a weight underflows
-    to 0.0.  ``factors``, when given, is the pair ``_gauge_factors`` returns
-    for ``d_y``; ``_lockstep`` computes it for a block of cells at once.
+    ``values`` is one vector (d,) or rows (m, d), and ``d_y`` a scalar or one
+    increment per row.  A Monte Carlo stack of several models is one model
+    with a block-diagonal ``t_off`` (see ``_lockstep``).  Stacked models
+    (``values`` (F, m, d), ``s_diag`` and ``levels`` (F, 1, d), ``t_off``
+    (F, d, d)) broadcast too, but the package does not use that form.  The
+    image is entrywise positive whenever the input is, unless a weight
+    underflows to 0.0.  ``factors``, when given, is the pair ``_gauge_factors``
+    returns for ``d_y``, as ``_lockstep`` and ``propagate_cell_matrix`` pass it.
     """
     e_half, e_full = _gauge_factors(d_y, dt, s_diag, levels) if factors is None else factors
     t_rows = np.swapaxes(t_off, -1, -2)
-    shape = None
-    if t_off.ndim == 2 and np.ndim(values) > 2:
-        # One model over several leading axes: make them the rows of one (rows, d) @ (d, d)
-        # product, where a stacked matmul would loop over many small ones.
-        shape = np.broadcast_shapes(np.shape(values), e_full.shape)
-        values, e_half, e_full = (np.broadcast_to(a, shape).reshape(-1, shape[-1])
-                                  for a in (values, e_half, e_full))
 
     def stage(h, k, e):
         # e * ((values + h * k) / e) @ t_rows, accumulated in place
@@ -169,10 +155,6 @@ def propagate_cell(values, d_y, dt, s_diag, t_off, levels, factors=None) -> np.n
         return x
 
     k1 = values @ t_rows
-    if k1.shape != e_full.shape:
-        # Increments that broadcast ``values`` up: give k1 the full shape, so
-        # that every stage can be accumulated in place.
-        k1 = np.broadcast_to(k1, np.broadcast_shapes(k1.shape, e_full.shape))
     k2 = stage(0.5 * dt, k1, e_half)
     k3 = stage(0.5 * dt, k2, e_half)
     k4 = stage(dt, k3, e_full)
@@ -185,23 +167,25 @@ def propagate_cell(values, d_y, dt, s_diag, t_off, levels, factors=None) -> np.n
     k2 *= dt / 6.0
     k2 += values
     k2 /= e_full
-    return k2 if shape is None else k2.reshape(shape)
+    return k2
 
 
 def propagate_cell_matrix(matrices, d_y, dt, s_diag, t_off, levels) -> np.ndarray:
-    """Advance propagator matrices (..., d, k) across one grid cell, column-wise:
-    the k columns are advanced as the rows of their transpose."""
+    """Advance propagator matrices (..., d, k) across one grid cell, column-wise.
+
+    ``d_y`` broadcasts over the leading axes, which are flattened here alone:
+    the k columns of every matrix are rows of one kernel call, each with its
+    matrix's increment and gauge factors, computed once per matrix.
+    """
     rows = np.swapaxes(matrices, -1, -2)
     d_y = np.asarray(d_y, dtype=float)[..., None]
-    return np.swapaxes(propagate_cell(rows, d_y, dt, s_diag, t_off, levels), -1, -2)
-
-
-def _cell_maps(increments, dt, s_diag, t_off, levels) -> np.ndarray:
-    # Per-cell maps for increments of shape (..., n), as one kernel call on the
-    # broadcast identity: shape (..., n, d, d).
-    d = s_diag.shape[0]
-    eye = np.broadcast_to(np.eye(d), np.shape(increments) + (d, d))
-    return propagate_cell_matrix(eye, increments, dt, s_diag, t_off, levels)
+    e_half, e_full = _gauge_factors(d_y, dt, s_diag, levels)
+    shape = np.broadcast_shapes(rows.shape, e_full.shape)
+    rows, e_half, e_full = (np.broadcast_to(a, shape).reshape(-1, shape[-1])
+                            for a in (rows, e_half, e_full))
+    d_y = np.broadcast_to(d_y, shape[:-1]).reshape(-1)
+    out = propagate_cell(rows, d_y, dt, s_diag, t_off, levels, (e_half, e_full))
+    return np.swapaxes(out.reshape(shape), -1, -2)
 
 
 def _prefix_products(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +207,7 @@ def _prefix_products(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prods, logs
 
 
-def _scan_path(state, increments, dt, s_diag, t_off, levels):
+def _scan_path(state, increments, dt, generator: GeneratorMatrix, observation: ObservationMap):
     """Blocked prefix-scan driver for one observation path.
 
     ``state`` is a vector (d,) or a matrix (d, d).  ``increments`` has shape
@@ -236,7 +220,7 @@ def _scan_path(state, increments, dt, s_diag, t_off, levels):
     """
     carried_log = 0.0
     for lo in range(0, len(increments), _SCAN_BLOCK):
-        maps = _cell_maps(increments[lo:lo + _SCAN_BLOCK], dt, s_diag, t_off, levels)
+        maps = cell_propagators(increments[lo:lo + _SCAN_BLOCK], dt, generator, observation)
         if maps.ndim == 4:
             steps = maps[:, 0]
             for j in range(1, maps.shape[1]):
@@ -251,10 +235,11 @@ def _scan_path(state, increments, dt, s_diag, t_off, levels):
         state, carried_log = images[-1], logs[-1]
 
 
-def _scan_nodes(state, increments, dt, s_diag, t_off, levels) -> tuple[np.ndarray, np.ndarray]:
+def _scan_nodes(state, increments, dt, generator: GeneratorMatrix,
+                observation: ObservationMap) -> tuple[np.ndarray, np.ndarray]:
     """``state`` and its unit-mass images at every node of one path, stacked
     along a new first axis, with their log masses relative to ``state``."""
-    blocks = list(_scan_path(state, increments, dt, s_diag, t_off, levels))
+    blocks = list(_scan_path(state, increments, dt, generator, observation))
     values = np.concatenate([np.asarray(state, dtype=float)[None], *(images for images, _ in blocks)])
     return values, np.concatenate([[0.0], *(logs for _, logs in blocks)])
 
@@ -300,8 +285,7 @@ def _trajectories(filters, increments, dt) -> np.ndarray:
     runs each filter through the prefix scan, a batch advances them in lockstep.
     """
     if increments.shape[0] == 1:
-        return np.stack([_scan_nodes(mu, increments[0], dt, *split_rate_matrix(g), o.levels)[0]
-                         for mu, g, o in filters])[:, None]
+        return np.stack([_scan_nodes(mu, increments[0], dt, g, o)[0] for mu, g, o in filters])[:, None]
     return np.stack(list(_lockstep(filters, increments, dt)), axis=2)
 
 
@@ -318,8 +302,7 @@ def _scan_range(state, s, t, obs: ObservationPath, generator: GeneratorMatrix,
     """Unit-mass image of ``state`` over the node range [s, t] and its log mass
     relative to ``state``; ``state`` itself with log mass 0 when s == t."""
     log_mass = 0.0
-    for images, logs in _scan_path(state, _node_range(obs, s, t), obs.grid.dt,
-                                   *split_rate_matrix(generator), observation.levels):
+    for images, logs in _scan_path(state, _node_range(obs, s, t), obs.grid.dt, generator, observation):
         state, log_mass = images[-1].copy(), float(logs[-1])
     return state, log_mass
 
@@ -330,8 +313,9 @@ def cell_propagators(increments, dt, generator: GeneratorMatrix, observation: Ob
     For increments of shape (..., n) returns maps of shape (..., n, d, d); the
     product over a cell range reproduces the propagator over that range.
     """
-    s_diag, t_off = split_rate_matrix(generator)
-    return _cell_maps(np.asarray(increments, dtype=float), dt, s_diag, t_off, observation.levels)
+    increments = np.asarray(increments, dtype=float)
+    eye = np.broadcast_to(np.eye(generator.d), increments.shape + (generator.d, generator.d))
+    return propagate_cell_matrix(eye, increments, dt, *split_rate_matrix(generator), observation.levels)
 
 
 def gauge_filter(mu, s, t, obs: ObservationPath, generator: GeneratorMatrix,
@@ -381,17 +365,16 @@ def filter_trajectory(initial, generator: GeneratorMatrix, observation: Observat
                       obs: ObservationPath, tag: str = "true") -> FilterTrajectory:
     """Run the reference integrator over the whole grid from the given initial law."""
     pi0 = validate_simplex(initial)
-    s_diag, t_off = split_rate_matrix(generator)
-    values, log_scale = _scan_nodes(pi0, obs.increments, obs.grid.dt, s_diag, t_off, observation.levels)
+    values, log_scale = _scan_nodes(pi0, obs.increments, obs.grid.dt, generator, observation)
     return FilterTrajectory(grid=obs.grid, values=values, log_scale=log_scale, tag=tag, initial=pi0)
 
 
 def wonham_step(pi, d_y, dt: float, generator: GeneratorMatrix,
-                observation: ObservationMap, floor: float = EULER_FLOOR) -> np.ndarray:
+                observation: ObservationMap) -> np.ndarray:
     """One explicit Euler step of the nonlinear filter equation, then projection.
 
     Batched: ``pi`` has shape (..., d) and ``d_y`` broadcasts over its leading
-    axes.  Diagnostic route only; components are clipped at ``floor`` and
+    axes.  Diagnostic route only; components are clipped at ``EULER_FLOOR`` and
     renormalized.  A post-step component below -0.5 signals gross instability
     (dt too large).
     """
@@ -402,18 +385,18 @@ def wonham_step(pi, d_y, dt: float, generator: GeneratorMatrix,
     lowest = step.min()
     if lowest < -0.5:
         raise StateCollapseError(f"Euler step produced component {lowest:.3f}; reduce dt")
-    step = np.maximum(step, floor)
+    step = np.maximum(step, EULER_FLOOR)
     return step / step.sum(axis=-1, keepdims=True)
 
 
 def euler_filter_trajectory(initial, generator: GeneratorMatrix, observation: ObservationMap,
-                            obs: ObservationPath, floor: float = EULER_FLOOR) -> np.ndarray:
+                            obs: ObservationPath) -> np.ndarray:
     """Euler diagnostic route over the whole grid; returns values at every node."""
     pi = validate_simplex(initial)
     values = np.empty((obs.grid.n_steps + 1, generator.d))
     values[0] = pi
     for k, d_y in enumerate(obs.increments):
-        pi = values[k + 1] = wonham_step(pi, d_y, obs.grid.dt, generator, observation, floor)
+        pi = values[k + 1] = wonham_step(pi, d_y, obs.grid.dt, generator, observation)
     return values
 
 
@@ -485,16 +468,15 @@ class FlowMatrix:
 
 
 def zakai_flow(s, t, obs: ObservationPath, generator: GeneratorMatrix,
-               observation: ObservationMap,
-               condition_threshold: float = CONDITION_THRESHOLD) -> FlowMatrix:
+               observation: ObservationMap) -> FlowMatrix:
     """Propagator over [s, t], integrated column-wise by the gauge method.
 
     Entries stay nonnegative; the identity is returned exactly when s == t.
-    Emits IllConditionedWarning when the condition number passes the threshold.
+    Emits IllConditionedWarning when the condition number passes CONDITION_THRESHOLD.
     """
     u, log_scale = _scan_range(np.eye(generator.d), s, t, obs, generator, observation)
     cond = float(np.linalg.cond(u))
-    if cond > condition_threshold:
+    if cond > CONDITION_THRESHOLD:
         warnings.warn(
             f"propagator over [{s}, {t}] has condition number {cond:.3e}",
             IllConditionedWarning,

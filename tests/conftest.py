@@ -1,7 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import wonhamlab as wl
+
+# The hypothesis plugin imports this module when it reports a failing example,
+# and it imports libcst, which raises a DeprecationWarning.  Under -W error that
+# aborts the session with INTERNALERROR and hides the other failures.  Import it
+# once here with that warning ignored; warnings from the package stay errors.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 
 @pytest.fixture(scope="session")

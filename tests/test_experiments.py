@@ -312,6 +312,23 @@ class TestDerivativeAudit:
         assert by_name["smoothing_vs_fd"]["max_relative_gap"] <= 1e-4
         assert by_name["second_flow_vs_fd"]["max_relative_gap"] <= 1e-2
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="longdouble is no wider than double here")
+    @pytest.mark.parametrize("seed", [6, 35, 71])
+    def test_second_difference_survives_near_zero_second_derivative(self, three_state_model, seed):
+        """At the three-state audit config each of these seeds has one trial
+        whose second derivative is near zero, where a double-precision second
+        difference is only rounding and its relative gap passed 1e-2.  Formed
+        in extended precision, it agrees with the flow route."""
+        approx = wl.FilterModel.from_raw(
+            [0.3, 0.3, 0.4], [[-3.2, 1.1, 2.1], [2.0, -2.9, 0.9], [1.0, 2.2, -3.2]], [0.05, 1.1, -0.95]
+        )
+        pair = wl.ModelPair(true_model=three_state_model, approx_model=approx)
+        report = wl.run_derivative_audit(make_spec(pair, t_end=10.0, n_trials=200, seed=seed))
+        row = report.table[3]
+        assert row["comparison"] == "second_flow_vs_fd"
+        assert row["violations"] == 0
+
     @pytest.mark.parametrize("t_end, checkpoints", [(0.5, (0.0, 0.5)), (2.0, (0.0, 1.0))])
     def test_simulates_only_the_audited_horizon(self, small_pair, monkeypatch, t_end, checkpoints):
         spec = make_spec(small_pair, t_end=t_end, n_trials=100, checkpoints=checkpoints)

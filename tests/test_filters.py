@@ -13,12 +13,12 @@ from wonhamlab.experiments import _euler_batch_values
 from wonhamlab.filters import (
     _GAUGE_BLOCK,
     _SCAN_BLOCK,
-    _cell_maps,
     _gauge_factors,
     _lockstep,
     _prefix_products,
     _scan_path,
     _trajectories,
+    cell_propagators,
     propagate_cell,
     propagate_cell_matrix,
     split_rate_matrix,
@@ -498,7 +498,7 @@ class TestPrefixScan:
     @settings(derandomize=True, deadline=None, max_examples=30)
     def test_prefix_products_match_loop(self, model, n, seed):
         obs = simulated_obs(model, n, 1e-2, seed)
-        maps = _cell_maps(obs.increments, 1e-2, *kernel_parts(model))
+        maps = cell_propagators(obs.increments, 1e-2, model.generator, model.observation)
         prods, logs = _prefix_products(maps)
         assert np.abs(prods.sum(axis=(1, 2)) - 1.0).max() <= 1e-13
         product, log_mass, expected, expected_logs = np.eye(model.d), 0.0, [], []
@@ -523,7 +523,7 @@ class TestPrefixScan:
             steps = steps.reshape(n, 2)
         state = np.eye(model.d) if matrix_state else model.initial
         parts = kernel_parts(model)
-        blocks = list(_scan_path(state, steps, dt, *parts))
+        blocks = list(_scan_path(state, steps, dt, model.generator, model.observation))
         assert all(len(logs) <= BLOCK for _, logs in blocks)
         values = np.concatenate([v for v, _ in blocks] or [np.empty((0,) + state.shape)])
         logs = np.concatenate([lg for _, lg in blocks] or [np.empty(0)])
@@ -560,7 +560,7 @@ class TestPrefixScan:
                                     ref_flow[-1:], ref_flow_log[-1:])
 
         per_cell = [propagate_cell_matrix(np.eye(model.d), d_y, dt, *parts) for d_y in obs.increments]
-        assert np.array_equal(wl.filters.cell_propagators(obs.increments, dt, gen, obs_map),
+        assert np.array_equal(cell_propagators(obs.increments, dt, gen, obs_map),
                               np.array(per_cell))
 
     @pytest.mark.parametrize("n", PROBE_LENGTHS)
@@ -658,21 +658,23 @@ class TestCellKernels:
         assert_relative(propagate_cell_matrix(matrices, d_y, dt, *parts),
                         einsum_cell_matrix(matrices, d_y, dt, *parts))
 
-    @given(d=st.integers(2, 6), width=st.integers(1, 7), dt=st.sampled_from([1e-3, 1e-2]),
-           seed=st.integers(0, 2**32 - 1))
+    @given(d=st.integers(2, 6), lead=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           k=st.integers(2, 7), dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 2**32 - 1))
     @KERNEL_SETTINGS
-    def test_one_vector_broadcast_over_increments(self, d, width, dt, seed):
-        """A (d,) vector with (width,) increments gives one row per increment."""
+    def test_matrix_kernel_flattens_leading_axes(self, d, lead, k, dt, seed):
+        """Matrices (a, b, d, k) with one increment per matrix equal one call
+        per matrix, bit for bit: every flattened row keeps its own matrix's
+        increment and gauge factors.  Each call has k >= 2 rows, so both sides
+        are matrix products."""
         rng = np.random.default_rng(seed)
         parts = kernel_parts(random_model(rng, d, bool(rng.integers(2))))
-        values = rng.uniform(0.01, 1.0, size=d)
-        d_y = rng.normal(0.0, 0.1, size=width)
-        out = propagate_cell(values, d_y, dt, *parts)
-        assert out.shape == (width, d)
-        assert_relative(out, einsum_cell(values, d_y, dt, *parts))
-        assert_relative(out, propagate_cell(np.tile(values, (width, 1)), d_y, dt, *parts))
+        matrices = rng.uniform(0.01, 1.0, size=lead + (d, k))
+        d_y = rng.normal(0.0, 0.1, size=lead)
+        expected = [[propagate_cell_matrix(matrices[i, j], d_y[i, j], dt, *parts)
+                     for j in range(lead[1])] for i in range(lead[0])]
+        assert np.array_equal(propagate_cell_matrix(matrices, d_y, dt, *parts), np.array(expected))
 
-    @given(d=st.integers(2, 10), form=st.sampled_from(["scalar", "rows", "broadcast"]),
+    @given(d=st.integers(2, 10), form=st.sampled_from(["scalar", "rows"]),
            width=st.integers(1, 7), dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 2**32 - 1))
     @KERNEL_SETTINGS
     def test_given_factors_set_the_gauge(self, d, form, width, dt, seed):
@@ -680,7 +682,7 @@ class TestCellKernels:
         another increment give that increment's default call, bit for bit."""
         rng = np.random.default_rng(seed)
         s_diag, t_off, levels = parts = kernel_parts(random_model(rng, d, bool(rng.integers(2))))
-        values = rng.uniform(0.01, 1.0, size=(d,) if form != "rows" else (width, d))
+        values = rng.uniform(0.01, 1.0, size=(d,) if form == "scalar" else (width, d))
         d_y = float(rng.normal(0.0, 0.1)) if form == "scalar" else rng.normal(0.0, 0.1, size=width)
         other = d_y + 0.5
         given = propagate_cell(values, d_y, dt, *parts, _gauge_factors(other, dt, s_diag, levels))
@@ -901,7 +903,7 @@ def backward_flows(maps):
     return out
 
 
-def loop_euler_batch(initial, increments, dt, generator, observation, floor=wl.filters.EULER_FLOOR):
+def loop_euler_batch(initial, increments, dt, generator, observation):
     """Reference batch Euler route: the hand-written loop the batched step replaced."""
     lam = generator.entries
     levels = observation.levels
@@ -911,7 +913,7 @@ def loop_euler_batch(initial, increments, dt, generator, observation, floor=wl.f
         drift = pi @ lam
         gain = levels[None, :] - (pi @ levels)[:, None]
         pi = pi + drift * dt + pi * gain * (increments[:, k, None] - (pi @ levels)[:, None] * dt)
-        pi = np.clip(pi, floor, None)
+        pi = np.clip(pi, wl.filters.EULER_FLOOR, None)
         pi /= pi.sum(axis=1, keepdims=True)
     return pi
 
@@ -944,7 +946,7 @@ class TestOnePathRoutes:
         rng = np.random.default_rng(seed)
         shape = (n,) if width is None else (width, n)
         increments = rng.normal(0.0, math.sqrt(dt), size=shape)
-        maps = _cell_maps(increments, dt, *kernel_parts(model))
+        maps = cell_propagators(increments, dt, model.generator, model.observation)
         flows = _endpoint_flows(maps)
         reference = backward_flows(maps)
         assert flows.shape == reference.shape == shape[:-1] + (n + 1, model.d, model.d)
@@ -1008,7 +1010,7 @@ class TestOnePathRoutes:
         truth_1 = step(model, model.initial)
         mu_1, nu_1 = step(approx, approx.initial), step(approx, model.initial)
         eye = np.eye(model.d)
-        approx_map = _cell_maps(obs.increments[:1], dt, *kernel_parts(approx))[0]
+        approx_map = cell_propagators(obs.increments[:1], dt, approx.generator, approx.observation)[0]
         delta = model.generator.drift_transpose - approx.generator.drift_transpose
         integrand = [
             float(derivative_opnorm_from_flow(flow / flow.sum(), pi)) * np.abs(delta @ pi).sum()
@@ -1020,7 +1022,7 @@ class TestOnePathRoutes:
         assert rhs == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
         breve_1, restarted_1 = mu_1, step(model, approx.initial)
-        truth_map = _cell_maps(obs.increments[:1], dt, *kernel_parts(model))[0]
+        truth_map = cell_propagators(obs.increments[:1], dt, model.generator, model.observation)[0]
         drift_gap = approx.generator.drift_transpose - model.generator.drift_transpose
         parts = [derivative_from_flow(flow / flow.sum(), pi, drift_gap @ pi)
                  for flow, pi in ((truth_map, approx.initial), (eye, breve_1))]
