@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -28,9 +29,9 @@ from .errors import (
     UnknownExperimentError,
 )
 from .filters import (
+    _flow_loop,
     _lockstep,
     _scan_path,
-    propagate_cell_matrix,
     split_rate_matrix,
     wonham_step,
 )
@@ -54,9 +55,11 @@ from .sensitivity import (
 )
 from .simulate import (
     TimeGrid,
+    _as_generator,
     simulate_increments_batch,
     simulate_observations,
     simulate_signal,
+    spawn_generators,
 )
 
 MIN_TRIALS = 100
@@ -92,6 +95,10 @@ class ExperimentSpec:
     strict_tolerance: bool = False
 
     def __post_init__(self):
+        for name in ("n_trials", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ConfigError(f"{name} must be a nonnegative whole number, got {value!r}")
         if self.n_trials < MIN_TRIALS:
             raise InsufficientTrialsError(
                 f"need at least {MIN_TRIALS} trials for reported statistics, got {self.n_trials}"
@@ -107,8 +114,9 @@ class ExperimentSpec:
         object.__setattr__(self, "checkpoints", tuple(sorted(kept)))
         if self.sweep_sizes is not None:
             sizes = tuple(float(s) for s in self.sweep_sizes)
-            if any(s <= 0.0 or s > 1.0 for s in sizes) or list(sizes) != sorted(sizes, reverse=True):
-                raise ConfigError("sweep sizes must be decreasing and lie in (0, 1]")
+            decreasing = list(sizes) == sorted(sizes, reverse=True)
+            if not (sizes and decreasing and all(0.0 < s <= 1.0 for s in sizes)):
+                raise ConfigError("sweep sizes must be nonempty, decreasing and lie in (0, 1]")
             object.__setattr__(self, "sweep_sizes", sizes)
         unknown = set(self.sweep_components) - {"initial", "generator", "levels"}
         if unknown:
@@ -215,11 +223,9 @@ def measure_integrator_tolerance(model: FilterModel, grid: TimeGrid, master_seed
     derived from the master seed so the allowance is reproducible.
     """
     fine = grid.refined(2)
-    sig, noise = np.random.SeedSequence([master_seed, 0xA110]).spawn(2)
-    path = simulate_signal(model.initial, model.generator, fine,
-                           np.random.Generator(np.random.Philox(sig)))
-    obs_fine = simulate_observations(path, model.observation, fine,
-                                     np.random.Generator(np.random.Philox(noise)))
+    sig, noise = spawn_generators([master_seed, 0xA110], 2)
+    path = simulate_signal(model.initial, model.generator, fine, sig)
+    obs_fine = simulate_observations(path, model.observation, fine, noise)
     steps = obs_fine.increments.reshape(-1, 2)
     # Both filters advance block by block in lockstep: a fine step is the two
     # fine cells inside one coarse cell, so node k of each block is the same time.
@@ -580,21 +586,15 @@ def run_derivative_audit(spec: ExperimentSpec) -> ExperimentReport:
     truth = spec.pair.true_model
     grid = spec.grid
     t_audit = min(1.0, grid.t_end)
-    n_a = grid.node(t_audit)
     m = spec.n_trials
     increments = simulate_increments_batch(
         truth.initial, truth.generator, truth.observation, TimeGrid(t_audit, grid.dt), spec.master_seed, m
     )
-    s_diag, t_off = split_rate_matrix(truth.generator)
-    levels = truth.observation.levels
     d = truth.d
-    flows = np.broadcast_to(np.eye(d), (m, d, d)).copy()
-    for k in range(n_a):
-        flows = propagate_cell_matrix(flows, increments[:, k], grid.dt, s_diag, t_off, levels)
-        flows /= flows.sum(axis=(1, 2), keepdims=True)
+    flows, _ = _flow_loop(np.broadcast_to(np.eye(d), (m, d, d)), increments, grid.dt,
+                          *split_rate_matrix(truth.generator), truth.observation.levels)
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([spec.master_seed, 0xD1F])))
-    z = rng.standard_normal((m, d))
+    z = _as_generator([spec.master_seed, 0xD1F]).standard_normal((m, d))
     v = z - z.mean(axis=1, keepdims=True)
     v /= np.abs(v).sum(axis=1, keepdims=True)
 

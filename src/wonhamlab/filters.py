@@ -20,7 +20,10 @@ inequality and the error-representation check.  Per block of cells,
 forms their products rescaled to unit mass with the log masses summed apart,
 and the products are applied to the carried vector or matrix, whose last node
 and log mass carry into the next block.  The endpoint flows of those two checks
-are the same scan run on the reversed, transposed maps.  Monte Carlo batches
+are the suffix scan beside it: the same scan on the reversed, transposed maps.
+The matrix recursions off the scan, the derivative audit's batch of flows and
+the signed inverse propagator, share one loop, ``_flow_loop``: one kernel call
+per cell, each matrix rescaled to unit absolute mass.  Monte Carlo batches
 instead advance the filters that share their paths in lockstep, with one
 kernel call per cell: there one call already covers many paths, and the scan's
 extra matrix products would cost more than the calls it saves.
@@ -188,6 +191,19 @@ def propagate_cell_matrix(matrices, d_y, dt, s_diag, t_off, levels) -> np.ndarra
     return np.swapaxes(out.reshape(shape), -1, -2)
 
 
+def _flow_loop(matrices, increments, dt, s_diag, t_off, levels) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices (..., d, d) advanced across the cells of ``increments`` (..., n), one
+    ``propagate_cell_matrix`` call per cell, each rescaled to unit absolute mass
+    after every cell (so signed entries too), and their summed log masses (...)."""
+    log_mass = np.zeros(increments.shape[:-1])
+    for k in range(increments.shape[-1]):
+        matrices = propagate_cell_matrix(matrices, increments[..., k], dt, s_diag, t_off, levels)
+        mass = np.abs(matrices).sum(axis=(-2, -1))
+        matrices /= mass[..., None, None]
+        log_mass += np.log(mass)
+    return matrices, log_mass
+
+
 def _prefix_products(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Hillis-Steele inclusive scan of maps (..., n, d, d) along the cell axis:
     # entry k of the result is maps[k] @ ... @ maps[0] rescaled to unit mass,
@@ -205,6 +221,22 @@ def _prefix_products(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         prods[..., shift:, :, :] = joined / mass[..., None, None]
         shift *= 2
     return prods, logs
+
+
+def _endpoint_flows(propagators: np.ndarray) -> np.ndarray:
+    """Unit-mass propagators from every grid node to the final node.
+
+    ``propagators`` holds the per-cell maps, shape (..., n, d, d); the result has
+    shape (..., n + 1, d, d) with the identity in the last slot.  A suffix scan:
+    the prefix products of the reversed, transposed maps are the transposed
+    products from each node to the end.
+    """
+    n, d = propagators.shape[-3], propagators.shape[-1]
+    out = np.empty(propagators.shape[:-3] + (n + 1, d, d))
+    out[..., n, :, :] = np.eye(d)
+    prods, _ = _prefix_products(np.swapaxes(propagators[..., ::-1, :, :], -1, -2))
+    out[..., :n, :, :] = np.swapaxes(prods[..., ::-1, :, :], -1, -2)
+    return out
 
 
 def _scan_path(state, increments, dt, generator: GeneratorMatrix, observation: ObservationMap):
@@ -508,23 +540,16 @@ def zakai_flow_inverse(s, t, obs: ObservationPath, generator: GeneratorMatrix,
     the forward propagator should recover the identity up to integrator error.
     Returns (unit-mass matrix, log scale); entries may be signed.
 
-    Stays on a per-cell loop rather than the prefix scan: with signed entries
+    Runs on the flow loop rather than the prefix scan: with signed entries
     the products are renormalized by absolute mass, which the scan's unit-mass
     products do not carry.
     """
     levels = observation.levels
     drift = np.diag(levels**2) - generator.entries
-    s_diag = np.diag(drift).copy()
-    t_off = drift.copy()
-    np.fill_diagonal(t_off, 0.0)
-    z = np.eye(generator.d)
-    log_scale = 0.0
-    for d_y in _node_range(obs, s, t):
-        z = propagate_cell_matrix(z, d_y, obs.grid.dt, s_diag, t_off, -levels)
-        total = np.abs(z).sum()
-        z = z / total
-        log_scale += math.log(total)
-    return z.T, log_scale
+    t_off = np.where(np.eye(generator.d, dtype=bool), 0.0, drift)
+    z, log_scale = _flow_loop(np.eye(generator.d), _node_range(obs, s, t), obs.grid.dt,
+                              np.diag(drift).copy(), t_off, -levels)
+    return z.T, float(log_scale)
 
 
 def export_trajectory_csv(traj: FilterTrajectory, dest) -> None:

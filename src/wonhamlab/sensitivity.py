@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ObservationMismatchError
+from .errors import NonPositiveEntryError, ObservationMismatchError
 from .filters import (
-    _prefix_products,
+    _endpoint_flows,
     _trajectories,
     cell_propagators,
     normalize_second_derivative,
@@ -71,6 +71,8 @@ def smoothing_from_flow(entries, initial) -> np.ndarray:
     """
     nu = np.asarray(initial, dtype=float)
     den = _apply(entries, nu)
+    if not np.all(den > 0.0):
+        raise NonPositiveEntryError("smoothing needs a terminal filter with no weight underflowed to 0")
     swapped = np.swapaxes(entries, -1, -2)
     return swapped * nu[..., :, None] / den[..., None, :]
 
@@ -195,20 +197,16 @@ def second_derivative_gap_bound(mu, v, w, s, t, generator: GeneratorMatrix) -> f
     return float(2.0 * plus * minus * math.exp(-beta * (t - s)))
 
 
-def _endpoint_flows(propagators: np.ndarray) -> np.ndarray:
-    """Unit-mass propagators from every grid node to the final node.
-
-    ``propagators`` holds the per-cell maps, shape (..., n, d, d); the result has
-    shape (..., n + 1, d, d) with the identity in the last slot.  A suffix scan:
-    the prefix products of the reversed, transposed maps are the transposed
-    products from each node to the end.
-    """
-    n, d = propagators.shape[-3], propagators.shape[-1]
-    out = np.empty(propagators.shape[:-3] + (n + 1, d, d))
-    out[..., n, :, :] = np.eye(d)
-    prods, _ = _prefix_products(np.swapaxes(propagators[..., ::-1, :, :], -1, -2))
-    out[..., :n, :, :] = np.swapaxes(prods[..., ::-1, :, :], -1, -2)
-    return out
+def _pathwise(pair: ModelPair, starts, increments, dt, flow_generator: GeneratorMatrix):
+    """Set-up of the pathwise checks on the paths of ``increments`` (m, n): the
+    guard that both models share one observation function, the trajectories
+    (F, m, n + 1, d) of the (initial, generator) ``starts`` under it, and the
+    endpoint flows (m, n + 1, d, d) of ``flow_generator``."""
+    levels = pair.true_model.observation
+    if observation_gap(levels, pair.approx_model.observation) > 0.0:
+        raise ObservationMismatchError("the pathwise checks require identical observation functions")
+    trajectories = _trajectories([(mu, g, levels) for mu, g in starts], increments, dt)
+    return trajectories, _endpoint_flows(cell_propagators(increments, dt, flow_generator, levels))
 
 
 def error_representation_check(t, obs: ObservationPath, pair: ModelPair) -> float:
@@ -219,18 +217,11 @@ def error_representation_check(t, obs: ObservationPath, pair: ModelPair) -> floa
     the propagated drift mismatch, and returns the l1 difference between the two
     sides.  Trapezoid quadrature on the grid.
     """
-    if observation_gap(pair.true_model.observation, pair.approx_model.observation) > 0.0:
-        raise ObservationMismatchError("representation requires identical observation functions")
     truth, approx = pair.true_model, pair.approx_model
-    grid = obs.grid
-    n = grid.node(t)
-    breve, restarted = _trajectories(
-        [(approx.initial, approx.generator, truth.observation),
-         (approx.initial, truth.generator, truth.observation)],
-        obs.increments[None, :n], grid.dt,
-    )[:, 0]
-    props = cell_propagators(obs.increments[:n], grid.dt, truth.generator, truth.observation)
-    flows = _endpoint_flows(props)
+    grid, n = obs.grid, obs.grid.node(t)
+    starts = [(approx.initial, approx.generator), (approx.initial, truth.generator)]
+    (breve, restarted), flows = _pathwise(pair, starts, obs.increments[None, :n], grid.dt, truth.generator)
+    breve, restarted, flows = breve[0], restarted[0], flows[0]
     delta = approx.generator.drift_transpose - truth.generator.drift_transpose
     mismatch = breve @ delta.T
     integrand = derivative_from_flow(flows, breve, mismatch)
@@ -242,15 +233,10 @@ def error_representation_check(t, obs: ObservationPath, pair: ModelPair) -> floa
 def _robustness_inequality_batch(increments, dt, pair: ModelPair) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the integrated error bound for a batch of paths."""
     truth, approx = pair.true_model, pair.approx_model
-    levels = truth.observation
     inc = np.atleast_2d(np.asarray(increments, dtype=float))
-    true_traj, approx_from_mu, approx_from_nu = _trajectories(
-        [(truth.initial, truth.generator, levels), (approx.initial, approx.generator, levels),
-         (truth.initial, approx.generator, levels)],
-        inc, dt,
-    )
-    props = cell_propagators(inc, dt, approx.generator, levels)
-    flows = _endpoint_flows(props)
+    (true_traj, approx_from_mu, approx_from_nu), flows = _pathwise(
+        pair, [(truth.initial, truth.generator), (approx.initial, approx.generator),
+               (truth.initial, approx.generator)], inc, dt, approx.generator)
     opnorms = derivative_opnorm_from_flow(flows, true_traj)
     delta = truth.generator.drift_transpose - approx.generator.drift_transpose
     mismatch_l1 = np.abs(true_traj @ delta.T).sum(axis=-1)
@@ -268,10 +254,7 @@ def robustness_inequality(t, obs: ObservationPath, pair: ModelPair) -> tuple[flo
     drift mismatch along the correctly filtered trajectory.  Requires identical
     observation functions.
     """
-    if observation_gap(pair.true_model.observation, pair.approx_model.observation) > 0.0:
-        raise ObservationMismatchError("bound requires identical observation functions")
-    n = obs.grid.node(t)
-    lhs, rhs = _robustness_inequality_batch(obs.increments[None, :n], obs.grid.dt, pair)
+    lhs, rhs = _robustness_inequality_batch(obs.increments[None, :obs.grid.node(t)], obs.grid.dt, pair)
     return float(lhs[0]), float(rhs[0])
 
 

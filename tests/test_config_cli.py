@@ -74,16 +74,18 @@ class TestRunConfig:
         assert cfg.pair.approx_model.initial == pytest.approx([0.3, 0.7])
 
     def test_round_trip_is_semantically_identical(self):
-        cfg = loads_config(GOOD_CONFIG)
-        text = dumps_config(cfg)
-        again = loads_config(text)
-        assert again.to_mapping() == cfg.to_mapping()
-        # and the original file content maps onto the same resolved fields
-        original = yaml.safe_load(GOOD_CONFIG)
-        resolved = cfg.to_mapping()
-        assert resolved["model"] == original["model"]
-        assert resolved["approx"] == original["approx"]
-        assert resolved["grid"] == original["grid"]
+        for source in (GOOD_CONFIG, with_experiment_field("sweep", "[0.2, 0.1]")):
+            cfg = loads_config(source)
+            text = dumps_config(cfg)
+            again = loads_config(text)
+            assert again.to_mapping() == cfg.to_mapping()
+            # and the original file content maps onto the same resolved fields
+            original = yaml.safe_load(source)
+            resolved = cfg.to_mapping()
+            assert resolved["model"] == original["model"]
+            assert resolved["approx"] == original["approx"]
+            assert resolved["grid"] == original["grid"]
+            assert resolved["experiment"].get("sweep") == original["experiment"].get("sweep")
 
     def test_defaults_applied(self):
         minimal = yaml.safe_load(GOOD_CONFIG)
@@ -223,6 +225,18 @@ class TestCliRun:
         assert code == 1
         assert "ConfigError" in capsys.readouterr().err
         assert not list(tmp_path.glob("forgetting-*"))
+
+    @pytest.mark.parametrize("experiment, source, flags", [
+        ("forgetting", GOOD_CONFIG, ["--seed", "-1"]),
+        ("convergence-sweep", with_experiment_field("sweep", "[]"), []),
+    ], ids=["negative-seed", "empty-sweep"])
+    def test_unusable_seed_or_sweep_exits_one(self, tmp_path, capsys, experiment, source, flags):
+        path = tmp_path / "edge.yaml"
+        path.write_text(source)
+        code = main(["run", str(path), experiment, "--out", str(tmp_path), *flags])
+        assert code == 1
+        assert "error: ConfigError" in capsys.readouterr().err
+        assert not list(tmp_path.glob(f"{experiment}-*"))
 
     def test_unreadable_config_exits_one(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "absent.yaml"), "forgetting"])

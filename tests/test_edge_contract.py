@@ -1,0 +1,113 @@
+"""Edge contract of the public one-path routes.
+
+At the edges (up to ten states, an initial weight of 1e-300, rate matrices
+that do not mix, paths of up to about 2000 cells) every route either returns
+finite values, nonnegative where they are weights, or raises a typed
+``WonhamLabError``.  ``IllConditionedWarning`` is counted, not failed on.
+"""
+
+import math
+import warnings
+
+import numpy as np
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+import wonhamlab as wl
+
+TINY_WEIGHT = 1e-300
+
+
+def edge_model(rng, d, levels=None):
+    """A model of d states whose rates do not mix: about half of them zero, no
+    rate into one state, and maybe no rate out of another.  One initial weight
+    is 1e-300."""
+    rates = rng.uniform(0.2, 3.0, size=(d, d)) * (rng.random((d, d)) < 0.5)
+    rates[:, rng.integers(d)] = 0.0
+    if rng.random() < 0.5:
+        rates[rng.integers(d)] = 0.0
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    initial = rng.dirichlet(np.ones(d))
+    initial[rng.integers(d)] = TINY_WEIGHT
+    if levels is None:
+        levels = rng.uniform(-2.0, 2.0, size=d)
+    return wl.FilterModel.from_raw(initial / initial.sum(), rates, levels)
+
+
+def weights(value):
+    return np.all(np.isfinite(value)) and np.all(np.asarray(value) >= 0.0)
+
+
+def finite(value):
+    return np.all(np.isfinite(value))
+
+
+def routes(model, pair, obs, v):
+    """(name, call, check) for every public route on one path."""
+    t = obs.grid.t_end
+    s = obs.grid.dt * (obs.grid.n_steps // 2)
+    gen, levels, mu = model.generator, model.observation, model.initial
+
+    def pair_of(check):
+        return lambda out: all(check(x) for x in out)
+
+    return [
+        ("filter_trajectory", lambda: wl.filter_trajectory(mu, gen, levels, obs),
+         lambda out: weights(out.values) and finite(out.log_scale)),
+        ("gauge_filter", lambda: wl.gauge_filter(mu, s, t, obs, gen, levels),
+         lambda out: weights(out[0]) and finite(out[1])),
+        ("filter_semiflow", lambda: wl.filter_semiflow(mu, 0.0, t, obs, gen, levels), weights),
+        ("zakai_flow", lambda: wl.zakai_flow(0.0, t, obs, gen, levels),
+         lambda out: weights(out.entries) and finite(out.log_scale)),
+        ("zakai_flow_inverse", lambda: wl.zakai_flow_inverse(0.0, t, obs, gen, levels),
+         pair_of(finite)),
+        ("euler_filter_trajectory", lambda: wl.euler_filter_trajectory(mu, gen, levels, obs), weights),
+        ("projected_filter_trajectory", lambda: wl.projected_filter_trajectory(mu, gen, levels, obs),
+         weights),
+        ("derivative_flow", lambda: wl.derivative_flow(mu, v, 0.0, t, obs, gen, levels), finite),
+        ("second_derivative_flow", lambda: wl.second_derivative_flow(mu, v, s, t, obs, gen, levels),
+         finite),
+        ("derivative_smoothing_route",
+         lambda: wl.derivative_smoothing_route(mu, v, t, obs, gen, levels), finite),
+        ("smoothing_matrix", lambda: wl.smoothing_matrix(t, obs, mu, gen, levels), weights),
+        ("tilted_filter", lambda: wl.tilted_filter(pair.approx_model.initial, t, obs, mu, gen, levels),
+         weights),
+        ("robustness_inequality", lambda: wl.robustness_inequality(t, obs, pair), pair_of(weights)),
+        ("error_representation_check", lambda: wl.error_representation_check(t, obs, pair), weights),
+        ("measure_integrator_tolerance",
+         lambda: wl.measure_integrator_tolerance(model, obs.grid, 7), weights),
+    ]
+
+
+@given(d=st.integers(2, 10), n=st.integers(1, 2000), dt=st.sampled_from([1e-3, 1e-2]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(derandomize=True, deadline=None, max_examples=8)
+# A terminal weight underflows to 0.0 here; the smoothing routes must not divide 0 by 0.
+@example(d=2, n=822, dt=1e-2, seed=0)
+def test_one_path_routes_give_finite_weights_or_a_typed_error(d, n, dt, seed):
+    rng = np.random.default_rng(seed)
+    model = edge_model(rng, d)
+    pair = wl.ModelPair(true_model=model,
+                        approx_model=edge_model(rng, d, model.observation.levels))
+    grid = wl.TimeGrid(n * dt, dt)
+    sig, noise = wl.spawn_generators(seed, 2)
+    obs = wl.simulate_observations(wl.simulate_signal(model.initial, model.generator, grid, sig),
+                                   model.observation, grid, noise)
+    z = rng.standard_normal(d)
+    v = (z - z.mean()) / np.abs(z - z.mean()).sum()
+    bad = []
+    for name, call, check in routes(model, pair, obs, v):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            warnings.simplefilter("always", wl.IllConditionedWarning)
+            try:
+                out = call()
+            except wl.WonhamLabError as exc:
+                event(f"{name}: {type(exc).__name__}")
+                continue
+        for w in caught:
+            event(f"{name}: {w.category.__name__}")
+        if not check(out):
+            bad.append(name)
+    assert not bad, f"non-finite or negative values from {bad} (d={d}, n={n}, dt={dt})"

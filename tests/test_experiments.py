@@ -77,6 +77,13 @@ class TestExperimentSpec:
         with pytest.raises(wl.ConfigError):
             make_spec(small_pair, sweep_components=("initial", "noise"))
 
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("seed", True),
+                                              ("n_trials", 150.5), ("sweep_sizes", ())])
+    def test_rejects_unusable_seed_trials_and_sweep(self, small_pair, field, value):
+        # Unchecked, each fails later and untyped: a numpy error or an IndexError.
+        with pytest.raises(wl.ConfigError):
+            make_spec(small_pair, **{field: value})
+
 
 class TestInterpolatePair:
     def test_zero_size_recovers_truth(self, small_pair):

@@ -13,6 +13,8 @@ from wonhamlab.experiments import _euler_batch_values
 from wonhamlab.filters import (
     _GAUGE_BLOCK,
     _SCAN_BLOCK,
+    _endpoint_flows,
+    _flow_loop,
     _gauge_factors,
     _lockstep,
     _prefix_products,
@@ -23,7 +25,7 @@ from wonhamlab.filters import (
     propagate_cell_matrix,
     split_rate_matrix,
 )
-from wonhamlab.sensitivity import _endpoint_flows, derivative_from_flow, derivative_opnorm_from_flow
+from wonhamlab.sensitivity import derivative_from_flow, derivative_opnorm_from_flow
 
 
 class TestNormalize:
@@ -1029,3 +1031,88 @@ class TestOnePathRoutes:
         residual = np.abs(breve_1 - restarted_1 - 0.5 * dt * (parts[0] + parts[1])).sum()
         assert wl.error_representation_check(dt, obs, pair) == pytest.approx(residual, rel=1e-9,
                                                                              abs=1e-15)
+
+
+# -- the flow loop of the derivative audit and the inverse propagator -----------
+
+def audit_loop(increments, dt, s_diag, t_off, levels):
+    """Reference recursion of the derivative audit: a batch of identities, one
+    kernel call per cell, each matrix divided by its plain mass.  Returns the
+    matrices and the log of every mass divided by, (n, m)."""
+    m, d = increments.shape[0], s_diag.shape[0]
+    flows = np.broadcast_to(np.eye(d), (m, d, d)).copy()
+    terms = []
+    for k in range(increments.shape[1]):
+        flows = propagate_cell_matrix(flows, increments[:, k], dt, s_diag, t_off, levels)
+        mass = flows.sum(axis=(1, 2), keepdims=True)
+        flows /= mass
+        terms.append([math.log(x) for x in mass.ravel()])
+    return flows, np.reshape(terms, (-1, m))
+
+
+def inverse_parts(model):
+    """Kernel parts of the transposed inverse equation, as ``zakai_flow_inverse`` forms them."""
+    levels = model.observation.levels
+    drift = np.diag(levels**2) - model.generator.entries
+    s_diag = np.diag(drift).copy()
+    t_off = drift.copy()
+    np.fill_diagonal(t_off, 0.0)
+    return s_diag, t_off, -levels
+
+
+def inverse_loop(increments, dt, s_diag, t_off, levels):
+    """Reference recursion of ``zakai_flow_inverse``, without the final
+    transpose: one kernel call per cell, the matrix divided by its absolute
+    mass.  Returns the matrix and the log of every mass divided by, (n,)."""
+    z = np.eye(s_diag.shape[0])
+    terms = []
+    for d_y in increments:
+        z = propagate_cell_matrix(z, d_y, dt, s_diag, t_off, levels)
+        total = np.abs(z).sum()
+        z = z / total
+        terms.append(math.log(total))
+    return z, np.array(terms)
+
+
+def assert_log_masses(actual, terms):
+    """``actual`` against the in-order sum of the per-cell log masses ``terms``
+    (n, ...), as the reference loops summed them.  ``np.log`` and ``math.log``
+    may round a term one ulp apart, and each partial sum may then round one ulp
+    apart too."""
+    partial = np.cumsum(np.concatenate([np.zeros((1,) + np.shape(actual)), terms]), axis=0)
+    slack = np.spacing(np.abs(terms)).sum(axis=0) + np.spacing(np.abs(partial)).sum(axis=0)
+    assert np.shape(actual) == partial.shape[1:]
+    assert np.all(np.abs(actual - partial[-1]) <= slack)
+
+
+class TestFlowLoop:
+    """One loop advances the audit's batch of nonnegative flows and the signed
+    inverse propagator, bit for bit as their own loops did."""
+
+    @given(model=scan_models(), width=st.integers(2, 6), n=st.integers(0, 60),
+           dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 2**32 - 1))
+    @KERNEL_SETTINGS
+    def test_nonnegative_batch_matches_audit_loop(self, model, width, n, dt, seed):
+        increments = np.random.default_rng(seed).normal(0.0, math.sqrt(dt), size=(width, n))
+        parts = kernel_parts(model)
+        start = np.broadcast_to(np.eye(model.d), (width, model.d, model.d))
+        flows, logs = _flow_loop(start, increments, dt, *parts)
+        ref_flows, terms = audit_loop(increments, dt, *parts)
+        assert np.array_equal(flows, ref_flows)
+        assert_log_masses(logs, terms)
+
+    @given(model=scan_models(), n=st.integers(1, 60), dt=st.sampled_from([1e-3, 1e-2]),
+           seed=st.integers(0, 2**32 - 1))
+    @KERNEL_SETTINGS
+    def test_signed_path_matches_inverse_loop(self, model, n, dt, seed):
+        increments = np.random.default_rng(seed).normal(0.0, math.sqrt(dt), size=n)
+        parts = inverse_parts(model)
+        z, log_scale = _flow_loop(np.eye(model.d), increments, dt, *parts)
+        ref_z, terms = inverse_loop(increments, dt, *parts)
+        assert np.array_equal(z, ref_z)
+        assert_log_masses(log_scale, terms)
+        # the public route is the loop, transposed
+        obs = wl.ObservationPath(increments=increments, grid=wl.TimeGrid(n * dt, dt))
+        inverse, log_inv = wl.zakai_flow_inverse(0.0, n * dt, obs, model.generator, model.observation)
+        assert np.array_equal(inverse, ref_z.T)
+        assert_log_masses(log_inv, terms)
