@@ -15,6 +15,7 @@ repeated once in full at four times the trials.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -68,8 +69,8 @@ BOUND_GRADE_DT = 0.01
 ALLOWANCE_FACTOR = 10.0
 DEFAULT_CHECKPOINTS = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 REFINEMENT_LADDER = (4e-3, 2e-3, 1e-3, 5e-4)
-# Nodes per block of the forgetting excursion count: the block is copied out of
-# the lockstep stack's strided view, so per-node overhead is paid once per block.
+# Nodes per block of the forgetting excursion count: each node's flat stack
+# rows are copied into the block, so per-node overhead is paid once per block.
 _EXCURSION_BLOCK = 16
 
 
@@ -99,6 +100,8 @@ class ExperimentSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
                 raise ConfigError(f"{name} must be a nonnegative whole number, got {value!r}")
+        if not isinstance(self.strict_tolerance, (bool, np.bool_)):
+            raise ConfigError(f"strict_tolerance must be a bool, got {self.strict_tolerance!r}")
         if self.n_trials < MIN_TRIALS:
             raise InsufficientTrialsError(
                 f"need at least {MIN_TRIALS} trials for reported statistics, got {self.n_trials}"
@@ -302,15 +305,18 @@ def _campaign(spec: ExperimentSpec, models, n_trials: int, excursion_bound=None)
     filters = [(m.initial, m.generator, m.observation)
                for m in (models[rows.index(r)] for r in range(len(row_of)))]
     later = rows[1:] if len(row_of) < len(models) else slice(1, None)  # a view when no row repeats
+    d = spec.pair.d
     if excursion_bound is not None:
-        block = np.empty((_EXCURSION_BLOCK, len(row_of), n_trials, spec.pair.d))
+        block = np.empty((_EXCURSION_BLOCK, n_trials, len(row_of) * d))
     for k, states in enumerate(_lockstep(filters, increments, grid.dt)):
         if excursion_bound is not None:
             b = k % _EXCURSION_BLOCK
-            block[b] = states
+            block[b] = states.swapaxes(0, 1).reshape(n_trials, -1)  # the stack's flat rows, a view
             if b == _EXCURSION_BLOCK - 1 or k == grid.n_steps:
-                nodes = block[:b + 1]
-                l1 = np.abs(nodes[:, later] - nodes[:, :1]).sum(axis=-1)
+                nodes = block[:b + 1].reshape(b + 1, n_trials, -1, d)
+                gaps = [np.abs(nodes[..., later, i] - nodes[..., :1, i]) for i in range(d)]
+                # as numpy sums d terms: in order below 8, pairwise from 8 on
+                l1 = functools.reduce(np.add, gaps) if d < 8 else np.stack(gaps, axis=-1).sum(axis=-1)
                 bounds = excursion_bound[k - b:k + 1, None, None]
                 out["excursions"] += int((~(l1 <= bounds)).sum())
         i, j = dense_pos.get(k), chk_pos.get(k)

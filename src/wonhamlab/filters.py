@@ -7,9 +7,9 @@ keeps every iterate nonnegative by construction, and strictly positive wherever
 the true weight is a normal double (with no rate into a state, its weight can
 underflow to 0.0).  Each grid cell is solved with one classical RK4 step,
 holding the observation path piecewise linear inside the cell.  There is one
-cell kernel, ``propagate_cell``, on one vector (d,) or rows (m, d);
-``propagate_cell_matrix`` advances matrices column-wise, as rows, and is the
-one place that flattens leading axes.
+cell kernel, ``propagate_cell``, on one vector (d,) or rows (m, d).  Matrices
+advance column-wise, as rows: ``propagate_cell_matrix`` flattens their leading
+axes per call, for the one-path routes, and ``_flow_loop`` once per batch.
 
 The per-cell maps of the linear equation do not depend on the state, so their
 products are associative.  Every recursion along one observation path runs
@@ -34,10 +34,10 @@ the diagonal rates and levels concatenated, the F off-diagonal blocks on the
 diagonal of one (F * d, F * d) matrix.  Each RK4 stage is then one 2-D matrix
 product over the paths, and each node renormalizes every block by one product
 with the block-diagonal matrix of ones.  The exact zeros off the blocks add
-nothing to any sum.  The stack computes the gauge exponentials of a block of
-cells at once, from a C-ordered copy of the block's increments, and hands
-each cell's kernel call its own contiguous slices; the exponentials are
-elementwise, so no value moves.
+nothing to any sum.  Both batch loops take their gauge factors from
+``_cell_factors``: a block of cells at once, with the (row, state) pairs on
+numpy's innermost axis, each cell's kernel call handed its own contiguous
+slices.  The factors are elementwise, so no value moves.
 
 Two routes solve the nonlinear, normalized equation instead.  The projected
 route (``projected_filter_trajectory``) takes one RK4 step of its Wong-Zakai
@@ -72,9 +72,9 @@ CONDITION_THRESHOLD = 1e12
 # products per cell and its maps are the scan's whole working set; much shorter
 # blocks pay the per-block call overhead instead.
 _SCAN_BLOCK = 512
-# Cells per block of the lockstep stack's gauge factors: one exponential call
-# per block in place of one per cell.  Shorter blocks give back much of the
-# saving; the two factor arrays hold 2 * 16 * m * F * d doubles.
+# Cells per block of the batch loops' gauge factors: one exponential call per
+# block in place of one per cell.  Shorter blocks give back much of the saving;
+# the two factor buffers hold 2 * 16 * w * D doubles (w rows, D states).
 _GAUGE_BLOCK = 16
 
 
@@ -143,7 +143,7 @@ def propagate_cell(values, d_y, dt, s_diag, t_off, levels, factors=None) -> np.n
     (F, d, d)) broadcast too, but the package does not use that form.  The
     image is entrywise positive whenever the input is, unless a weight
     underflows to 0.0.  ``factors``, when given, is the pair ``_gauge_factors``
-    returns for ``d_y``, as ``_lockstep`` and ``propagate_cell_matrix`` pass it.
+    returns for ``d_y``, as ``_cell_factors`` and ``propagate_cell_matrix`` give it.
     """
     e_half, e_full = _gauge_factors(d_y, dt, s_diag, levels) if factors is None else factors
     t_rows = np.swapaxes(t_off, -1, -2)
@@ -191,17 +191,43 @@ def propagate_cell_matrix(matrices, d_y, dt, s_diag, t_off, levels) -> np.ndarra
     return np.swapaxes(out.reshape(shape), -1, -2)
 
 
+def _cell_factors(increments, dt, s_diag, levels):
+    """Each cell's increments (w,) and the pair ``_gauge_factors`` gives for them,
+    (w, D) each, bit for bit, over the cells of ``increments`` (..., n), w = prod(...).
+    Per block of ``_GAUGE_BLOCK`` cells, from a C-ordered copy of its increments,
+    with the w * D (row, state) pairs innermost: the increments over dt repeated per
+    state, the levels and rate constants tiled over the rows once.  The next block overwrites them."""
+    width, states = math.prod(increments.shape[:-1]), len(levels)
+    cells_first = (increments.ndim - 1, *range(increments.ndim - 1))
+    tiled_levels, tiled_base = np.tile([levels, 0.5 * levels**2 - s_diag], width)
+    scales, buffers = np.array([[[0.5 * dt]], [[dt]]]), np.empty((2, _GAUGE_BLOCK, width * states))
+    for lo in range(0, increments.shape[-1], _GAUGE_BLOCK):
+        block = increments[..., lo:lo + _GAUGE_BLOCK].transpose(cells_first)
+        d_y = np.ascontiguousarray(block).reshape(-1, width)
+        c = np.repeat(d_y / dt, states).reshape(len(d_y), -1)
+        c *= tiled_levels
+        np.subtract(tiled_base, c, out=c)
+        factors = np.multiply(c, scales, out=buffers[:, :len(d_y)])
+        e_half, e_full = np.exp(factors, out=factors).reshape(2, -1, width, states)
+        yield from zip(d_y, zip(e_half, e_full))
+
+
 def _flow_loop(matrices, increments, dt, s_diag, t_off, levels) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices (..., d, d) advanced across the cells of ``increments`` (..., n), one
-    ``propagate_cell_matrix`` call per cell, each rescaled to unit absolute mass
-    after every cell (so signed entries too), and their summed log masses (...)."""
-    log_mass = np.zeros(increments.shape[:-1])
-    for k in range(increments.shape[-1]):
-        matrices = propagate_cell_matrix(matrices, increments[..., k], dt, s_diag, t_off, levels)
-        mass = np.abs(matrices).sum(axis=(-2, -1))
-        matrices /= mass[..., None, None]
+    """Matrices (..., d, k) advanced across the cells of ``increments`` (..., n), each
+    rescaled to unit absolute mass after every cell (so signed entries too), and their
+    summed log masses (...).  Flattened to rows once, each matrix's columns as
+    ``propagate_cell_matrix`` lays them out; one kernel call per cell on ``_cell_factors``."""
+    lead = np.broadcast_shapes(matrices.shape[:-2], increments.shape[:-1])
+    d, k = matrices.shape[-2:]
+    rows = np.broadcast_to(np.swapaxes(matrices, -1, -2), lead + (k, d)).reshape(-1, k, d)
+    per_row = np.broadcast_to(increments[..., None, :], lead + (k, increments.shape[-1]))
+    log_mass = np.zeros(len(rows))
+    for step, factors in _cell_factors(per_row, dt, s_diag, levels):
+        rows = propagate_cell(rows.reshape(-1, d), step, dt, s_diag, t_off, levels, factors).reshape(-1, k, d)
+        mass = np.abs(rows).sum(axis=(1, 2))
+        rows /= mass[:, None, None]
         log_mass += np.log(mass)
-    return matrices, log_mass
+    return np.swapaxes(rows.reshape(lead + (k, d)), -1, -2), log_mass.reshape(lead)
 
 
 def _prefix_products(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,17 +322,10 @@ def _lockstep(filters, increments, dt):
     m = increments.shape[0]
     states = np.tile(np.concatenate(initials).astype(float), (m, 1))
     yield states.reshape(m, count, d).swapaxes(0, 1)
-    factors = np.empty((2, _GAUGE_BLOCK, m, count * d))
-    for lo in range(0, increments.shape[1], _GAUGE_BLOCK):
-        # A C-ordered copy of the block's increments keeps the whole block
-        # computation C-ordered; each cell's factors are then one contiguous
-        # (m, F * d) slice of the preallocated arrays.
-        d_y = np.ascontiguousarray(increments[:, lo:lo + _GAUGE_BLOCK].T)
-        e_half, e_full = _gauge_factors(d_y, dt, s_diag, levels, factors[:, :len(d_y)])
-        for j, step in enumerate(d_y):
-            states = propagate_cell(states, step, dt, s_diag, t_off, levels, (e_half[j], e_full[j]))
-            states /= states @ block_ones
-            yield states.reshape(m, count, d).swapaxes(0, 1)
+    for step, factors in _cell_factors(increments, dt, s_diag, levels):
+        states = propagate_cell(states, step, dt, s_diag, t_off, levels, factors)
+        states /= states @ block_ones
+        yield states.reshape(m, count, d).swapaxes(0, 1)
 
 
 def _trajectories(filters, increments, dt) -> np.ndarray:

@@ -140,6 +140,17 @@ class TestRunConfig:
         assert cfg.grid.dt == 0.002
         assert cfg.strict_tolerance
 
+    @pytest.mark.parametrize("flag", [None, True, False])
+    def test_loaded_and_overridden_configs_build_specs(self, flag):
+        mapping = yaml.safe_load(GOOD_CONFIG)
+        if flag is not None:
+            mapping["experiment"]["strict_tolerance"] = flag
+        cfg = loads_config(yaml.safe_dump(mapping))
+        assert cfg.to_spec().strict_tolerance is bool(flag)
+        for override in (None, True, False):
+            spec = cfg.with_overrides(strict_tolerance=override).to_spec()
+            assert spec.strict_tolerance is (bool(flag) if override is None else override)
+
 
 class TestCliList:
     def test_lists_six_experiments(self, capsys):

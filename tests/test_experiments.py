@@ -14,6 +14,19 @@ def small_pair(ref_model):
     return wl.ModelPair(true_model=ref_model, approx_model=approx)
 
 
+def random_pair(d, seed=0):
+    """Two random mixing models of d states."""
+    rng = np.random.default_rng(seed)
+
+    def model():
+        rates = rng.uniform(0.5, 2.0, size=(d, d))
+        np.fill_diagonal(rates, 0.0)
+        np.fill_diagonal(rates, -rates.sum(axis=1))
+        return wl.FilterModel.from_raw(rng.dirichlet(np.ones(d)), rates, rng.uniform(-1.0, 1.0, size=d))
+
+    return wl.ModelPair(true_model=model(), approx_model=model())
+
+
 def record_simulations(monkeypatch):
     """Record the grid and trial count of every batch simulation the experiments module makes."""
     calls = []
@@ -83,6 +96,16 @@ class TestExperimentSpec:
         # Unchecked, each fails later and untyped: a numpy error or an IndexError.
         with pytest.raises(wl.ConfigError):
             make_spec(small_pair, **{field: value})
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_rejects_strict_tolerance_that_is_not_a_bool(self, small_pair, value):
+        # Unchecked, the string "false" is truthy and silently drops the integrator allowance.
+        with pytest.raises(wl.ConfigError, match="strict_tolerance"):
+            make_spec(small_pair, strict_tolerance=value)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    def test_accepts_bool_strict_tolerance(self, small_pair, value):
+        assert make_spec(small_pair, strict_tolerance=value).strict_tolerance == value
 
 
 class TestInterpolatePair:
@@ -222,23 +245,34 @@ class TestForgettingExperiment:
         beta = report.constants["beta"]
         assert report.supplementary["fitted_rate"] <= -beta + 0.1
 
-    # 1000 and 1001 nodes end on a short block; 1024 nodes fill exactly 64 blocks of 16
-    @pytest.mark.parametrize("t_end", [0.999, 1.0, 1.023])
-    def test_blocked_excursion_count_matches_every_node(self, small_pair, t_end):
+    # 1000 and 1001 nodes end on a short block; 1024 nodes fill exactly 64 blocks
+    # of 16.  d = 9 sums its l1 terms pairwise; a repeated model reads its gaps
+    # through an index list.
+    @pytest.mark.parametrize("t_end, d, repeated", [
+        pytest.param(0.999, 2, False, id="0.999"), pytest.param(1.0, 2, False, id="1.0"),
+        pytest.param(1.023, 2, False, id="1.023"), pytest.param(1.023, 3, False, id="1.023-d3"),
+        pytest.param(1.0, 9, False, id="1.0-d9"), pytest.param(0.999, 3, True, id="0.999-d3-repeated"),
+        pytest.param(1.023, 9, True, id="1.023-d9-repeated"),
+    ])
+    def test_blocked_excursion_count_matches_every_node(self, small_pair, t_end, d, repeated):
         """The count taken once per block of nodes equals a count taken node
-        by node on the lockstep stack."""
-        truth, approx = small_pair.true_model, small_pair.approx_model
-        spec = make_spec(small_pair, t_end=t_end, n_trials=100, checkpoints=(0.0, 0.5))
-        models = [dataclasses.replace(approx, initial=truth.initial), approx]
-        filters = [(m.initial, m.generator, m.observation) for m in models]
+        by node on the lockstep stack.  A bound at an exact gap of each node,
+        and one an ulp below it, would each move the count if that gap were
+        an ulp off: the blocked l1 is the node's ``sum(axis=-1)`` bit for bit."""
+        pair = small_pair if d == 2 else random_pair(d)
+        truth, approx = pair.true_model, pair.approx_model
+        spec = make_spec(pair, t_end=t_end, n_trials=100, checkpoints=(0.0, 0.5))
+        models = [dataclasses.replace(approx, initial=truth.initial), approx] + [approx] * repeated
+        filters = [(m.initial, m.generator, m.observation) for m in models[:2]]
         increments = wl.simulate_increments_batch(truth.initial, truth.generator, truth.observation,
                                                   spec.grid, spec.master_seed, spec.n_trials)
         gaps = np.array([np.abs(states[1] - states[0]).sum(axis=-1)
                          for states in experiments._lockstep(filters, increments, spec.grid.dt)])
-        # a bound at each node's median gap, so about half the pairs exceed it
-        bound = np.median(gaps, axis=1)
-        camp = experiments._campaign(spec, models, spec.n_trials, bound)
-        assert camp["excursions"] == int((gaps > bound[:, None]).sum()) > 0
+        exact = np.sort(gaps, axis=1)[:, spec.n_trials // 2]
+        # bounds near each node's median gap, so about half the pairs exceed them
+        for bound in (np.median(gaps, axis=1), exact, np.nextafter(exact, -np.inf)):
+            camp = experiments._campaign(spec, models, spec.n_trials, bound)
+            assert camp["excursions"] == (len(models) - 1) * int((gaps > bound[:, None]).sum()) > 0
 
 
 class TestInverseMomentExperiment:

@@ -13,6 +13,7 @@ from wonhamlab.experiments import _euler_batch_values
 from wonhamlab.filters import (
     _GAUGE_BLOCK,
     _SCAN_BLOCK,
+    _cell_factors,
     _endpoint_flows,
     _flow_loop,
     _gauge_factors,
@@ -1116,3 +1117,80 @@ class TestFlowLoop:
         inverse, log_inv = wl.zakai_flow_inverse(0.0, n * dt, obs, model.generator, model.observation)
         assert np.array_equal(inverse, ref_z.T)
         assert_log_masses(log_inv, terms)
+
+    # Empty, one cell, a short block, one full block, a block and one cell,
+    # two full blocks and one cell, and many blocks of gauge factors.
+    @pytest.mark.parametrize("n", [0, 1, _GAUGE_BLOCK - 1, _GAUGE_BLOCK, _GAUGE_BLOCK + 1,
+                                   2 * _GAUGE_BLOCK + 1, 1000])
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    @given(d=st.integers(2, 10), signed=st.booleans(), dt=st.sampled_from([1e-3, 1e-2]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, deadline=None, max_examples=3)
+    def test_matches_per_cell_matrix_loop(self, n, lead, d, signed, dt, seed):
+        """Bit for bit, matrices and log masses, as one ``propagate_cell_matrix``
+        call per cell, from nonnegative starts under the forward drift or the
+        inverse propagator's signed drift; the start is left as it was."""
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, bool(rng.integers(2)))
+        parts = inverse_parts(model) if signed else kernel_parts(model)
+        start = rng.uniform(0.0, 1.0, size=lead + (d, d))
+        before = start.copy()
+        increments = rng.normal(0.0, math.sqrt(dt), size=lead + (n,))
+        flows, logs = _flow_loop(start, increments, dt, *parts)
+        ref_flows, ref_logs = per_cell_flow_loop(start.copy(), increments, dt, *parts)
+        assert flows.shape == start.shape and logs.shape == lead
+        assert np.all(np.isfinite(flows))
+        assert np.array_equal(flows, ref_flows) and np.array_equal(logs, ref_logs)
+        assert np.array_equal(start, before)
+
+
+def per_cell_flow_loop(matrices, increments, dt, s_diag, t_off, levels):
+    """Reference recursion with the flow loop's per-cell body: one
+    ``propagate_cell_matrix`` call per cell, then each matrix divided by its
+    absolute mass, the log masses summed in order."""
+    log_mass = np.zeros(increments.shape[:-1])
+    for k in range(increments.shape[-1]):
+        matrices = propagate_cell_matrix(matrices, increments[..., k], dt, s_diag, t_off, levels)
+        mass = np.abs(matrices).sum(axis=(-2, -1))
+        matrices /= mass[..., None, None]
+        log_mass += np.log(mass)
+    return matrices, log_mass
+
+
+class TestCellFactors:
+    """The batch loops' gauge factors, a block of cells at a time, with the
+    (row, state) pairs on the innermost axis."""
+
+    @pytest.mark.parametrize("n", range(1, _GAUGE_BLOCK + 1))
+    @pytest.mark.parametrize("width", [1, 200])
+    @given(states=st.integers(1, 40), dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, deadline=None, max_examples=3)
+    def test_block_matches_gauge_factors(self, n, width, states, dt, seed):
+        """Each cell of one block: its increments, and its factors as
+        ``_gauge_factors`` gives them for that cell alone, bit for bit, each
+        a C-ordered (w, D) array."""
+        rng = np.random.default_rng(seed)
+        s_diag = -rng.uniform(0.0, 5.0, size=states)
+        levels = rng.uniform(-2.0, 2.0, size=states)
+        increments = rng.normal(0.0, math.sqrt(dt), size=(width, n))
+        cells = list(_cell_factors(increments, dt, s_diag, levels))
+        assert len(cells) == n
+        for k, (step, factors) in enumerate(cells):
+            assert np.array_equal(step, increments[:, k])
+            want = _gauge_factors(increments[:, k], dt, s_diag, levels)
+            for got, expected in zip(factors, want, strict=True):
+                assert got.shape == (width, states) and got.flags.c_contiguous
+                assert np.array_equal(got, expected)
+
+    def test_broadcast_rows_over_several_blocks(self):
+        """The flow loop's layout: each matrix's increments repeated over its
+        k rows by a broadcast view, rows in C order of the leading axes."""
+        rng = np.random.default_rng(3)
+        matrices, k, n, states = 5, 3, 2 * _GAUGE_BLOCK + 5, 3
+        s_diag, levels = -rng.uniform(0.0, 5.0, size=states), rng.uniform(-2.0, 2.0, size=states)
+        per_row = np.broadcast_to(rng.normal(0.0, 0.03, size=(matrices, 1, n)), (matrices, k, n))
+        for j, (step, factors) in enumerate(_cell_factors(per_row, 1e-3, s_diag, levels)):
+            assert np.array_equal(step, per_row[..., j].ravel())
+            want = _gauge_factors(per_row[..., j].ravel(), 1e-3, s_diag, levels)
+            assert all(np.array_equal(got, expected) for got, expected in zip(factors, want, strict=True))
+        assert j == n - 1
