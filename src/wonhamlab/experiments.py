@@ -15,7 +15,6 @@ repeated once in full at four times the trials.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -314,9 +313,7 @@ def _campaign(spec: ExperimentSpec, models, n_trials: int, excursion_bound=None)
             block[b] = states.swapaxes(0, 1).reshape(n_trials, -1)  # the stack's flat rows, a view
             if b == _EXCURSION_BLOCK - 1 or k == grid.n_steps:
                 nodes = block[:b + 1].reshape(b + 1, n_trials, -1, d)
-                gaps = [np.abs(nodes[..., later, i] - nodes[..., :1, i]) for i in range(d)]
-                # as numpy sums d terms: in order below 8, pairwise from 8 on
-                l1 = functools.reduce(np.add, gaps) if d < 8 else np.stack(gaps, axis=-1).sum(axis=-1)
+                l1 = np.abs(nodes[..., later, :] - nodes[..., :1, :]).sum(axis=-1)
                 bounds = excursion_bound[k - b:k + 1, None, None]
                 out["excursions"] += int((~(l1 <= bounds)).sum())
         i, j = dense_pos.get(k), chk_pos.get(k)

@@ -122,14 +122,13 @@ def split_rate_matrix(generator: GeneratorMatrix) -> tuple[np.ndarray, np.ndarra
     return s_diag, t_off
 
 
-def _gauge_factors(d_y, dt: float, s_diag: np.ndarray, levels: np.ndarray,
-                   out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+def _gauge_factors(d_y, dt: float, s_diag: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The gauge factors exp(c dt / 2) and exp(c dt) at the middle and the end of
-    # the cell, written into the arrays of ``out`` when it holds them; c is the
-    # per-state exponent rate, with the observation path linear inside the cell.
+    # the cell; c is the per-state exponent rate, with the observation path
+    # linear inside the cell.
     c = 0.5 * levels**2 - s_diag - levels * (np.asarray(d_y, dtype=float)[..., None] / dt)
-    e_half = np.multiply(c, 0.5 * dt, out=out[0])
-    e_full = np.multiply(c, dt, out=out[1])
+    e_half = np.multiply(c, 0.5 * dt)
+    e_full = np.multiply(c, dt)
     return np.exp(e_half, out=e_half), np.exp(e_full, out=e_full)
 
 
@@ -196,7 +195,9 @@ def _cell_factors(increments, dt, s_diag, levels):
     (w, D) each, bit for bit, over the cells of ``increments`` (..., n), w = prod(...).
     Per block of ``_GAUGE_BLOCK`` cells, from a C-ordered copy of its increments,
     with the w * D (row, state) pairs innermost: the increments over dt repeated per
-    state, the levels and rate constants tiled over the rows once.  The next block overwrites them."""
+    state, the levels and rate constants tiled over the rows once.  The next block overwrites them.
+    It restates ``_gauge_factors``' exponent formula in the same operation order, which keeps
+    the two bit for bit (``TestCellFactors``); the one-path routes keep ``_gauge_factors``."""
     width, states = math.prod(increments.shape[:-1]), len(levels)
     cells_first = (increments.ndim - 1, *range(increments.ndim - 1))
     tiled_levels, tiled_base = np.tile([levels, 0.5 * levels**2 - s_diag], width)
@@ -219,7 +220,7 @@ def _flow_loop(matrices, increments, dt, s_diag, t_off, levels) -> tuple[np.ndar
     ``propagate_cell_matrix`` lays them out; one kernel call per cell on ``_cell_factors``."""
     lead = np.broadcast_shapes(matrices.shape[:-2], increments.shape[:-1])
     d, k = matrices.shape[-2:]
-    rows = np.broadcast_to(np.swapaxes(matrices, -1, -2), lead + (k, d)).reshape(-1, k, d)
+    rows = np.array(np.broadcast_to(np.swapaxes(matrices, -1, -2), lead + (k, d))).reshape(-1, k, d)
     per_row = np.broadcast_to(increments[..., None, :], lead + (k, increments.shape[-1]))
     log_mass = np.zeros(len(rows))
     for step, factors in _cell_factors(per_row, dt, s_diag, levels):

@@ -246,8 +246,8 @@ class TestForgettingExperiment:
         assert report.supplementary["fitted_rate"] <= -beta + 0.1
 
     # 1000 and 1001 nodes end on a short block; 1024 nodes fill exactly 64 blocks
-    # of 16.  d = 9 sums its l1 terms pairwise; a repeated model reads its gaps
-    # through an index list.
+    # of 16.  d = 9 has enough l1 terms for numpy to sum them pairwise; a
+    # repeated model reads its gaps through an index list.
     @pytest.mark.parametrize("t_end, d, repeated", [
         pytest.param(0.999, 2, False, id="0.999"), pytest.param(1.0, 2, False, id="1.0"),
         pytest.param(1.023, 2, False, id="1.023"), pytest.param(1.023, 3, False, id="1.023-d3"),

@@ -1036,19 +1036,17 @@ class TestOnePathRoutes:
 
 # -- the flow loop of the derivative audit and the inverse propagator -----------
 
-def audit_loop(increments, dt, s_diag, t_off, levels):
-    """Reference recursion of the derivative audit: a batch of identities, one
-    kernel call per cell, each matrix divided by its plain mass.  Returns the
-    matrices and the log of every mass divided by, (n, m)."""
-    m, d = increments.shape[0], s_diag.shape[0]
-    flows = np.broadcast_to(np.eye(d), (m, d, d)).copy()
-    terms = []
-    for k in range(increments.shape[1]):
-        flows = propagate_cell_matrix(flows, increments[:, k], dt, s_diag, t_off, levels)
-        mass = flows.sum(axis=(1, 2), keepdims=True)
-        flows /= mass
-        terms.append([math.log(x) for x in mass.ravel()])
-    return flows, np.reshape(terms, (-1, m))
+def per_cell_flow_loop(matrices, increments, dt, s_diag, t_off, levels):
+    """Reference recursion with the flow loop's per-cell body: one
+    ``propagate_cell_matrix`` call per cell, then each matrix divided by its
+    absolute mass, the log masses summed in order."""
+    log_mass = np.zeros(increments.shape[:-1])
+    for k in range(increments.shape[-1]):
+        matrices = propagate_cell_matrix(matrices, increments[..., k], dt, s_diag, t_off, levels)
+        mass = np.abs(matrices).sum(axis=(-2, -1))
+        matrices /= mass[..., None, None]
+        log_mass += np.log(mass)
+    return matrices, log_mass
 
 
 def inverse_parts(model):
@@ -1061,34 +1059,10 @@ def inverse_parts(model):
     return s_diag, t_off, -levels
 
 
-def inverse_loop(increments, dt, s_diag, t_off, levels):
-    """Reference recursion of ``zakai_flow_inverse``, without the final
-    transpose: one kernel call per cell, the matrix divided by its absolute
-    mass.  Returns the matrix and the log of every mass divided by, (n,)."""
-    z = np.eye(s_diag.shape[0])
-    terms = []
-    for d_y in increments:
-        z = propagate_cell_matrix(z, d_y, dt, s_diag, t_off, levels)
-        total = np.abs(z).sum()
-        z = z / total
-        terms.append(math.log(total))
-    return z, np.array(terms)
-
-
-def assert_log_masses(actual, terms):
-    """``actual`` against the in-order sum of the per-cell log masses ``terms``
-    (n, ...), as the reference loops summed them.  ``np.log`` and ``math.log``
-    may round a term one ulp apart, and each partial sum may then round one ulp
-    apart too."""
-    partial = np.cumsum(np.concatenate([np.zeros((1,) + np.shape(actual)), terms]), axis=0)
-    slack = np.spacing(np.abs(terms)).sum(axis=0) + np.spacing(np.abs(partial)).sum(axis=0)
-    assert np.shape(actual) == partial.shape[1:]
-    assert np.all(np.abs(actual - partial[-1]) <= slack)
-
-
 class TestFlowLoop:
     """One loop advances the audit's batch of nonnegative flows and the signed
-    inverse propagator, bit for bit as their own loops did."""
+    inverse propagator, bit for bit as one ``propagate_cell_matrix`` call per
+    cell did (``per_cell_flow_loop``)."""
 
     @given(model=scan_models(), width=st.integers(2, 6), n=st.integers(0, 60),
            dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 2**32 - 1))
@@ -1098,9 +1072,8 @@ class TestFlowLoop:
         parts = kernel_parts(model)
         start = np.broadcast_to(np.eye(model.d), (width, model.d, model.d))
         flows, logs = _flow_loop(start, increments, dt, *parts)
-        ref_flows, terms = audit_loop(increments, dt, *parts)
-        assert np.array_equal(flows, ref_flows)
-        assert_log_masses(logs, terms)
+        ref_flows, ref_logs = per_cell_flow_loop(start, increments, dt, *parts)
+        assert np.array_equal(flows, ref_flows) and np.array_equal(logs, ref_logs)
 
     @given(model=scan_models(), n=st.integers(1, 60), dt=st.sampled_from([1e-3, 1e-2]),
            seed=st.integers(0, 2**32 - 1))
@@ -1109,14 +1082,23 @@ class TestFlowLoop:
         increments = np.random.default_rng(seed).normal(0.0, math.sqrt(dt), size=n)
         parts = inverse_parts(model)
         z, log_scale = _flow_loop(np.eye(model.d), increments, dt, *parts)
-        ref_z, terms = inverse_loop(increments, dt, *parts)
-        assert np.array_equal(z, ref_z)
-        assert_log_masses(log_scale, terms)
+        ref_z, ref_log = per_cell_flow_loop(np.eye(model.d), increments, dt, *parts)
+        assert np.array_equal(z, ref_z) and np.array_equal(log_scale, ref_log)
         # the public route is the loop, transposed
         obs = wl.ObservationPath(increments=increments, grid=wl.TimeGrid(n * dt, dt))
         inverse, log_inv = wl.zakai_flow_inverse(0.0, n * dt, obs, model.generator, model.observation)
-        assert np.array_equal(inverse, ref_z.T)
-        assert_log_masses(log_inv, terms)
+        assert np.array_equal(inverse, ref_z.T) and log_inv == ref_log
+
+    @pytest.mark.parametrize("s", [0.0, 0.05, 0.1])
+    def test_inverse_over_no_cells_is_writable_identity(self, s):
+        """Over [s, s] the inverse propagator is the identity with log scale 0,
+        and the caller owns it: it is not a view of the loop's start."""
+        model = wl.FilterModel.from_raw([0.5, 0.5], [[-1.0, 1.0], [2.0, -2.0]], [0.0, 1.0])
+        obs = wl.ObservationPath(increments=np.full(100, 0.03), grid=wl.TimeGrid(0.1, 1e-3))
+        inverse, log_scale = wl.zakai_flow_inverse(s, s, obs, model.generator, model.observation)
+        assert np.array_equal(inverse, np.eye(2)) and log_scale == 0.0
+        inverse[0, 1] = 3.0
+        assert inverse[0, 1] == 3.0
 
     # Empty, one cell, a short block, one full block, a block and one cell,
     # two full blocks and one cell, and many blocks of gauge factors.
@@ -1139,22 +1121,9 @@ class TestFlowLoop:
         flows, logs = _flow_loop(start, increments, dt, *parts)
         ref_flows, ref_logs = per_cell_flow_loop(start.copy(), increments, dt, *parts)
         assert flows.shape == start.shape and logs.shape == lead
-        assert np.all(np.isfinite(flows))
+        assert np.all(np.isfinite(flows)) and flows.flags.writeable
         assert np.array_equal(flows, ref_flows) and np.array_equal(logs, ref_logs)
         assert np.array_equal(start, before)
-
-
-def per_cell_flow_loop(matrices, increments, dt, s_diag, t_off, levels):
-    """Reference recursion with the flow loop's per-cell body: one
-    ``propagate_cell_matrix`` call per cell, then each matrix divided by its
-    absolute mass, the log masses summed in order."""
-    log_mass = np.zeros(increments.shape[:-1])
-    for k in range(increments.shape[-1]):
-        matrices = propagate_cell_matrix(matrices, increments[..., k], dt, s_diag, t_off, levels)
-        mass = np.abs(matrices).sum(axis=(-2, -1))
-        matrices /= mass[..., None, None]
-        log_mass += np.log(mass)
-    return matrices, log_mass
 
 
 class TestCellFactors:
