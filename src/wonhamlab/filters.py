@@ -37,7 +37,11 @@ with the block-diagonal matrix of ones.  The exact zeros off the blocks add
 nothing to any sum.  Both batch loops take their gauge factors from
 ``_cell_factors``: a block of cells at once, with the (row, state) pairs on
 numpy's innermost axis, each cell's kernel call handed its own contiguous
-slices.  The factors are elementwise, so no value moves.
+slices.  The factors are elementwise, so no value moves.  Every package route
+hands the kernel its rate matrix ``t_off`` as the transpose of a C-ordered array,
+built once per loop, so the row form ``t_off.T`` that each RK4 stage
+multiplies by is contiguous and BLAS runs its plain kernel, not the slower
+transposed one (the two round some sums apart by an ulp).
 
 Two routes solve the nonlinear, normalized equation instead.  The projected
 route (``projected_filter_trajectory``) takes one RK4 step of its Wong-Zakai
@@ -115,11 +119,16 @@ def normalize_second_derivative(x) -> np.ndarray:
 
 
 def split_rate_matrix(generator: GeneratorMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal part and nonnegative off-diagonal part of the forward drift matrix."""
+    """Diagonal part and nonnegative off-diagonal part of the forward drift matrix.
+
+    ``t_off`` is the transpose of a C-ordered array: ``propagate_cell`` multiplies
+    rows by ``t_off.T``, the rate matrix with its diagonal zeroed, and that operand
+    is then contiguous, so BLAS runs its plain (not transposed) matrix kernel.
+    """
     s_diag = np.diag(generator.entries).copy()
-    t_off = generator.entries.T.copy()
-    np.fill_diagonal(t_off, 0.0)
-    return s_diag, t_off
+    t_rows = generator.entries.copy()
+    np.fill_diagonal(t_rows, 0.0)
+    return s_diag, t_rows.T
 
 
 def _gauge_factors(d_y, dt: float, s_diag: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,20 +152,27 @@ def propagate_cell(values, d_y, dt, s_diag, t_off, levels, factors=None) -> np.n
     image is entrywise positive whenever the input is, unless a weight
     underflows to 0.0.  ``factors``, when given, is the pair ``_gauge_factors``
     returns for ``d_y``, as ``_cell_factors`` and ``propagate_cell_matrix`` give it.
+
+    Each RK4 stage multiplies the rows by ``t_off.T``.  Pass ``t_off`` as the
+    transpose of a C-ordered array, as ``split_rate_matrix`` returns it, so that
+    operand is contiguous and BLAS runs its plain kernel, not the transposed one;
+    the two round some sums apart.  A 2-D ``t_off`` goes to ``np.dot``, which
+    skips ``np.matmul``'s per-call dispatch; the stacked form keeps ``np.matmul``.
     """
     e_half, e_full = _gauge_factors(d_y, dt, s_diag, levels) if factors is None else factors
     t_rows = np.swapaxes(t_off, -1, -2)
+    product = np.dot if t_rows.ndim == 2 else np.matmul
 
     def stage(h, k, e):
         # e * ((values + h * k) / e) @ t_rows, accumulated in place
         x = h * k
         x += values
         x /= e
-        x = x @ t_rows
+        x = product(x, t_rows)
         x *= e
         return x
 
-    k1 = values @ t_rows
+    k1 = product(values, t_rows)
     k2 = stage(0.5 * dt, k1, e_half)
     k3 = stage(0.5 * dt, k2, e_half)
     k4 = stage(dt, k3, e_full)
@@ -316,8 +332,10 @@ def _lockstep(filters, increments, dt):
     parts = [split_rate_matrix(g) for g in generators]
     count, d = len(parts), parts[0][0].shape[0]
     s_diag = np.concatenate([p[0] for p in parts])
-    blocks = np.stack([p[1] for p in parts])
-    t_off = (np.eye(count)[:, None, :, None] * blocks[:, :, None, :]).reshape(count * d, count * d)
+    # the block-diagonal rate rows, C-ordered, handed over transposed as
+    # ``split_rate_matrix`` lays out one model
+    blocks = np.stack([p[1].T for p in parts])
+    t_off = (np.eye(count)[:, None, :, None] * blocks[:, :, None, :]).reshape(count * d, count * d).T
     levels = np.concatenate([o.levels for o in observations])
     block_ones = np.kron(np.eye(count), np.ones((d, d)))
     m = increments.shape[0]
@@ -325,7 +343,7 @@ def _lockstep(filters, increments, dt):
     yield states.reshape(m, count, d).swapaxes(0, 1)
     for step, factors in _cell_factors(increments, dt, s_diag, levels):
         states = propagate_cell(states, step, dt, s_diag, t_off, levels, factors)
-        states /= states @ block_ones
+        states /= np.dot(states, block_ones)
         yield states.reshape(m, count, d).swapaxes(0, 1)
 
 
@@ -566,7 +584,7 @@ def zakai_flow_inverse(s, t, obs: ObservationPath, generator: GeneratorMatrix,
     """
     levels = observation.levels
     drift = np.diag(levels**2) - generator.entries
-    t_off = np.where(np.eye(generator.d, dtype=bool), 0.0, drift)
+    t_off = np.where(np.eye(generator.d, dtype=bool), 0.0, drift.T).T
     z, log_scale = _flow_loop(np.eye(generator.d), _node_range(obs, s, t), obs.grid.dt,
                               np.diag(drift).copy(), t_off, -levels)
     return z.T, float(log_scale)

@@ -548,6 +548,22 @@ class TestNanCountsAsViolation:
         assert not report.supplementary["tangency_ok"]
         assert report.violations == len(rows) + 1
 
+    def test_probe_keeps_a_nan_gap(self):
+        """Observation levels 2000 apart overflow the filter within one time
+        unit.  The step-halving probe keeps the NaN gap this gives, so the
+        allowance is NaN, not 0.0, and every row fails; the inverse-moment
+        peak keeps its NaN rows too."""
+        model = wl.FilterModel.from_raw([0.5, 0.5], [[-1.0, 1.0], [1.0, -1.0]], [0.0, 2000.0])
+        spec = make_spec(wl.ModelPair(true_model=model, approx_model=model), t_end=1.0,
+                         n_trials=100, seed=3, checkpoints=(0.0, 0.5, 1.0))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            assert math.isnan(experiments.measure_integrator_tolerance(model, spec.grid, 3))
+            report = wl.run_inverse_moment_experiment(spec)
+        assert math.isnan(report.constants["allowance"])
+        assert report.violations == len(report.table) == 3
+        assert all(row["violation"] for row in report.table)
+        assert math.isnan(report.supplementary["peak_estimate"])
+
     def test_integrator_refinement_order(self, small_pair, monkeypatch):
         poison_last_filter(monkeypatch)
         report = wl.run_integrator_refinement(make_spec(small_pair, t_end=1.0, n_trials=100,

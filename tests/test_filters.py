@@ -728,6 +728,19 @@ class TestCellKernels:
                 assert np.abs(stack[i] - state).sum(axis=1).max() <= 1e-14
 
 
+def record_kernel_calls(monkeypatch):
+    """Record the arguments of every ``propagate_cell`` call the filters module makes."""
+    calls = []
+    real = wl.filters.propagate_cell
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wl.filters, "propagate_cell", recorded)
+    return calls
+
+
 def stacked_lockstep(filters, increments, dt):
     """Reference driver: the stack (F, m, d) advanced with one stacked-model
     kernel call per cell (t_off of shape (F, d, d)), each filter's rows
@@ -745,15 +758,22 @@ def stacked_lockstep(filters, increments, dt):
         yield states
 
 
-def per_cell_lockstep(filters, increments, dt):
+def per_cell_lockstep(filters, increments, dt, c_ordered_rates=False):
     """Reference driver: the block-diagonal stack with its gauge factors
-    computed inside every kernel call, one cell at a time."""
+    computed inside every kernel call, one cell at a time.  Its rate matrix is
+    laid out as ``_lockstep`` lays it out, the transpose of C-ordered rows: the
+    plain and transposed BLAS kernels round some sums apart, so a comparison of
+    the factors' blocking must not change the layout.  ``c_ordered_rates``
+    passes ``t_off`` C-ordered instead, which sends BLAS to its transposed kernel."""
     initials, generators, observations = zip(*filters)
     parts = [split_rate_matrix(g) for g in generators]
     count, d = len(parts), parts[0][0].shape[0]
     s_diag = np.concatenate([p[0] for p in parts])
-    blocks = np.stack([p[1] for p in parts])
-    t_off = (np.eye(count)[:, None, :, None] * blocks[:, :, None, :]).reshape(count * d, count * d)
+    rows = [p[1].T for p in parts]
+    t_off = np.block([[rows[f] if f == g else np.zeros((d, d)) for g in range(count)]
+                      for f in range(count)]).T
+    if c_ordered_rates:
+        t_off = np.ascontiguousarray(t_off)
     levels = np.concatenate([o.levels for o in observations])
     block_ones = np.kron(np.eye(count), np.ones((d, d)))
     m = increments.shape[0]
@@ -789,24 +809,19 @@ class TestBlockDiagonalStack:
 
     def test_each_cell_gets_contiguous_factors(self, monkeypatch):
         """One kernel call per cell, each given its own (m, F * d) factor
-        slices, C-ordered."""
+        slices, C-ordered, and the block-diagonal rate rows ``t_off.T``
+        C-ordered."""
         rng = np.random.default_rng(5)
         models = [random_model(rng, 3, f % 2 == 0) for f in range(3)]
         width, n = 5, 2 * _GAUGE_BLOCK + 3
         increments = rng.normal(0.0, math.sqrt(1e-3), size=(width, n))
-        calls = []
-        real = wl.filters.propagate_cell
-
-        def recorded(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(wl.filters, "propagate_cell", recorded)
+        calls = record_kernel_calls(monkeypatch)
         for _ in _lockstep([(m.initial, m.generator, m.observation) for m in models], increments, 1e-3):
             pass
         assert len(calls) == n
         for k, args in enumerate(calls):
             assert np.array_equal(args[1], increments[:, k])
+            assert args[4].shape == (9, 9) and args[4].T.flags.c_contiguous
             assert len(args[6]) == 2
             for factor in args[6]:
                 assert factor.shape == (width, 9) and factor.flags.c_contiguous
@@ -1054,9 +1069,9 @@ def inverse_parts(model):
     levels = model.observation.levels
     drift = np.diag(levels**2) - model.generator.entries
     s_diag = np.diag(drift).copy()
-    t_off = drift.copy()
-    np.fill_diagonal(t_off, 0.0)
-    return s_diag, t_off, -levels
+    t_rows = drift.T.copy()
+    np.fill_diagonal(t_rows, 0.0)
+    return s_diag, t_rows.T, -levels
 
 
 class TestFlowLoop:
@@ -1163,3 +1178,62 @@ class TestCellFactors:
             want = _gauge_factors(per_row[..., j].ravel(), 1e-3, s_diag, levels)
             assert all(np.array_equal(got, expected) for got, expected in zip(factors, want, strict=True))
         assert j == n - 1
+
+
+class TestRateLayout:
+    """Every kernel call gets its rate rows ``t_off.T`` C-ordered, so BLAS runs
+    its plain matrix kernel.  A C-ordered ``t_off`` sends it to the transposed
+    kernel instead, which rounds some sums apart; over thousands of cells the
+    two layouts stay well inside the 1e-12 contract at every node."""
+
+    CELLS = 3000
+
+    @pytest.mark.parametrize("route", ["audit", "inverse", "propagators"])
+    def test_kernel_gets_contiguous_rate_rows(self, monkeypatch, three_state_model, route):
+        """The flow loop, for the derivative audit's batch and for the inverse
+        propagator, and the per-cell maps of the prefix scan."""
+        model = three_state_model
+        increments = np.random.default_rng(9).normal(0.0, math.sqrt(1e-3), size=40)
+        calls = record_kernel_calls(monkeypatch)
+        if route == "audit":
+            pair = wl.ModelPair(true_model=model, approx_model=model)
+            wl.run_derivative_audit(wl.ExperimentSpec(pair=pair, grid=wl.TimeGrid(0.04, 1e-3), n_trials=100,
+                                                      master_seed=1, checkpoints=(0.0, 0.04)))
+        elif route == "inverse":
+            obs = wl.ObservationPath(increments=increments, grid=wl.TimeGrid(0.04, 1e-3))
+            wl.zakai_flow_inverse(0.0, 0.04, obs, model.generator, model.observation)
+        else:
+            cell_propagators(increments, 1e-3, model.generator, model.observation)
+        assert calls
+        for args in calls:
+            assert args[4].shape == (3, 3) and args[4].T.flags.c_contiguous
+
+    @pytest.mark.parametrize("d, n_filters, width", [(10, 2, 200), (3, 1, 1)])
+    def test_lockstep_layouts_agree(self, d, n_filters, width):
+        rng = np.random.default_rng(d)
+        models = [random_model(rng, d, True) for _ in range(n_filters)]
+        filters = [(m.initial, m.generator, m.observation) for m in models]
+        increments = rng.normal(0.0, math.sqrt(1e-3), size=(width, self.CELLS))
+        gaps = [np.abs(new - old).max() for new, old in zip(
+            _lockstep(filters, increments, 1e-3),
+            per_cell_lockstep(filters, increments, 1e-3, c_ordered_rates=True), strict=True)]
+        assert len(gaps) == self.CELLS + 1 and np.max(gaps) <= 1e-13
+
+    @pytest.mark.parametrize("d, lead, k", [(20, (10,), 20), (3, (), 1)])
+    def test_flow_loop_layouts_agree(self, d, lead, k):
+        """Matrices advanced one cell per loop call, so every node is compared;
+        the chained calls give the one call over all cells, bit for bit."""
+        rng = np.random.default_rng(d)
+        s_diag, t_off, levels = kernel_parts(random_model(rng, d, True))
+        c_ordered = np.ascontiguousarray(t_off)
+        start = rng.uniform(0.01, 1.0, size=lead + (d, k))
+        increments = rng.normal(0.0, math.sqrt(1e-3), size=lead + (self.CELLS,))
+        new = old = start
+        gap = 0.0
+        for j in range(self.CELLS):
+            cell = increments[..., j:j + 1]
+            new, _ = _flow_loop(new, cell, 1e-3, s_diag, t_off, levels)
+            old, _ = _flow_loop(old, cell, 1e-3, s_diag, c_ordered, levels)
+            gap = np.maximum(gap, np.abs(new - old).max())
+        assert gap <= 1e-13
+        assert np.array_equal(new, _flow_loop(start, increments, 1e-3, s_diag, t_off, levels)[0])
