@@ -34,7 +34,7 @@ class NonPositiveEntryError(WonhamLabError):
 
 
 class StateCollapseError(WonhamLabError):
-    """A filter step of the nonlinear equation left the probability simplex; the step size is too large."""
+    """A filter step left the probability simplex, or a gauge factor the double range; reduce the step."""
 
 
 class GridMismatchError(WonhamLabError):
@@ -62,4 +62,4 @@ class ConfigError(WonhamLabError):
 
 
 class IllConditionedWarning(RuntimeWarning):
-    """Propagator matrix condition number exceeded the tracked threshold."""
+    """Kept exported for compatibility; the package no longer emits it."""

@@ -67,10 +67,6 @@ class ObservationMap:
         return self.levels.shape[0]
 
     @property
-    def diagonal_lift(self) -> np.ndarray:
-        return np.diag(self.levels)
-
-    @property
     def spread(self) -> float:
         """Largest gap between two observation levels."""
         return float(np.ptp(self.levels))
@@ -155,9 +151,9 @@ class FilterModel:
             raise DimensionMismatchError("initial law, generator and levels disagree on d")
 
     @classmethod
-    def from_raw(cls, initial, generator, levels, *, allow_boundary: bool = False) -> "FilterModel":
+    def from_raw(cls, initial, generator, levels) -> "FilterModel":
         return cls(
-            initial=validate_simplex(initial, allow_boundary=allow_boundary),
+            initial=validate_simplex(initial),
             generator=validate_generator(generator),
             observation=validate_observation(levels),
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wonhamlab as wl
+from wonhamlab.filters import propagate_cell_matrix, split_rate_matrix
 
 # The hypothesis plugin imports this module when it reports a failing example,
 # and it imports libcst, which raises a DeprecationWarning.  Under -W error that
@@ -64,3 +65,15 @@ def ref_obs(ref_model, observe):
 
 def assert_tangent(vec, tol=1e-8):
     assert abs(float(np.sum(vec))) <= tol
+
+
+def batch_flows(model, increments, dt):
+    """Unit-mass propagators over the whole increment range, one per path."""
+    s_diag, t_off = split_rate_matrix(model.generator)
+    m = increments.shape[0]
+    flows = np.broadcast_to(np.eye(model.d), (m, model.d, model.d)).copy()
+    for k in range(increments.shape[1]):
+        flows = propagate_cell_matrix(flows, increments[:, k], dt, s_diag, t_off,
+                                      model.observation.levels)
+        flows /= flows.sum(axis=(1, 2), keepdims=True)
+    return flows

@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 import wonhamlab as wl
-from wonhamlab.filters import propagate_cell, propagate_cell_matrix, split_rate_matrix
+from conftest import batch_flows
+from wonhamlab.filters import propagate_cell, split_rate_matrix
 from wonhamlab.sensitivity import (
     derivative_from_flow,
     second_derivative_from_flow,
@@ -48,17 +49,6 @@ def template_pair(ref_model):
 def allowance(ref_model):
     grid = wl.TimeGrid(1.0, 1e-3)
     return 10.0 * wl.measure_integrator_tolerance(ref_model, grid, SEED)
-
-
-def batch_flows(model, increments, dt):
-    s_diag, t_off = split_rate_matrix(model.generator)
-    m = increments.shape[0]
-    flows = np.broadcast_to(np.eye(model.d), (m, model.d, model.d)).copy()
-    for k in range(increments.shape[1]):
-        flows = propagate_cell_matrix(flows, increments[:, k], dt, s_diag, t_off,
-                                      model.observation.levels)
-        flows /= flows.sum(axis=(1, 2), keepdims=True)
-    return flows
 
 
 # --- criterion 1: cross-route filter agreement ------------------------------

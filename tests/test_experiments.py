@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,18 @@ class TestForgettingExperiment:
                                                         checkpoints=(0.0, 1.0)))
         assert math.isnan(report.supplementary["fitted_rate"])
         assert report.supplementary["rate_within_bound"]
+
+    def test_prefactor_is_the_lipschitz_bound(self, small_pair):
+        """The prefactor is ``lipschitz_bound`` at zero elapsed time, bit for bit,
+        and equals its closed form max(1/mu_1, 1/mu_2) * |mu_2 - mu_1|_1."""
+        truth, approx = small_pair.true_model, small_pair.approx_model
+        report = wl.run_forgetting_experiment(make_spec(small_pair, t_end=1.0, n_trials=100,
+                                                        checkpoints=(0.0, 1.0)))
+        prefactor = report.constants["prefactor"]
+        assert prefactor == wl.lipschitz_bound(truth.initial, approx.initial, 0.0, 0.0, approx.generator)
+        closed_form = float(np.maximum(1.0 / truth.initial, 1.0 / approx.initial).max()
+                            * np.abs(approx.initial - truth.initial).sum())
+        assert prefactor == closed_form
 
     def test_thousand_paths_no_violations_and_rate(self, ref_model):
         approx = wl.FilterModel.from_raw([0.2, 0.8], [[-1.0, 1.0], [1.0, -1.0]], [0.0, 1.0])
@@ -548,21 +561,22 @@ class TestNanCountsAsViolation:
         assert not report.supplementary["tangency_ok"]
         assert report.violations == len(rows) + 1
 
-    def test_probe_keeps_a_nan_gap(self):
-        """Observation levels 2000 apart overflow the filter within one time
-        unit.  The step-halving probe keeps the NaN gap this gives, so the
-        allowance is NaN, not 0.0, and every row fails; the inverse-moment
-        peak keeps its NaN rows too."""
+    def test_gauge_overflow_is_a_typed_error(self):
+        """Observation levels 2000 apart put the gauge exponent c dt near 2000,
+        past the double range of exp.  The step-halving probe (on the prefix
+        scan) and the inverse-moment campaign (through the probe, and on the
+        lockstep stack when the tolerance is strict) raise StateCollapseError
+        before any exp call, so no numpy warning escapes and no NaN reaches a report."""
         model = wl.FilterModel.from_raw([0.5, 0.5], [[-1.0, 1.0], [1.0, -1.0]], [0.0, 2000.0])
         spec = make_spec(wl.ModelPair(true_model=model, approx_model=model), t_end=1.0,
                          n_trials=100, seed=3, checkpoints=(0.0, 0.5, 1.0))
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            assert math.isnan(experiments.measure_integrator_tolerance(model, spec.grid, 3))
-            report = wl.run_inverse_moment_experiment(spec)
-        assert math.isnan(report.constants["allowance"])
-        assert report.violations == len(report.table) == 3
-        assert all(row["violation"] for row in report.table)
-        assert math.isnan(report.supplementary["peak_estimate"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(wl.StateCollapseError, match="double range"):
+                experiments.measure_integrator_tolerance(model, spec.grid, 3)
+            for strict in (False, True):
+                with pytest.raises(wl.StateCollapseError, match="double range"):
+                    wl.run_inverse_moment_experiment(dataclasses.replace(spec, strict_tolerance=strict))
 
     def test_integrator_refinement_order(self, small_pair, monkeypatch):
         poison_last_filter(monkeypatch)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import wonhamlab as wl
-from wonhamlab.experiments import _euler_batch_values
 from wonhamlab.filters import (
     _GAUGE_BLOCK,
     _SCAN_BLOCK,
     _cell_factors,
     _endpoint_flows,
+    _euler_batch_values,
     _flow_loop,
     _gauge_factors,
     _lockstep,
@@ -301,10 +301,18 @@ class TestZakaiFlow:
         product = math.exp(log_inv + flow.log_scale) * (inverse @ flow.entries)
         assert np.abs(product - np.eye(2)).max() <= 1e-5
 
-    def test_ill_conditioned_warning_on_long_horizon(self, ref_model, observe):
+    def test_long_flow_is_silent_and_composes(self, ref_model, observe):
+        """At t = 20 the unit-mass propagator is close to rank one (the filter
+        has forgotten its start), yet it warns on nothing and equals the
+        composition of its two halves to rounding."""
         obs = observe(ref_model, 20.0, 1e-3, 777)
-        with pytest.warns(wl.IllConditionedWarning):
-            wl.zakai_flow(0.0, 20.0, obs, ref_model.generator, ref_model.observation)
+        args = (obs, ref_model.generator, ref_model.observation)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            whole = wl.zakai_flow(0.0, 20.0, *args)
+            product = wl.compose_flows(wl.zakai_flow(10.0, 20.0, *args), wl.zakai_flow(0.0, 10.0, *args))
+        assert np.abs(product.entries - whole.entries).max() <= 1e-13 * np.abs(whole.entries).max()
+        assert abs(product.log_scale - whole.log_scale) <= 1e-13 * abs(whole.log_scale)
 
 
 class TestSemiflow:
@@ -552,9 +560,7 @@ class TestPrefixScan:
 
         if n > 0:
             # the flow starts off node 0, so its blocks begin at an offset into the path
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", wl.IllConditionedWarning)
-                flow = wl.zakai_flow(dt, n * dt, obs, gen, obs_map)
+            flow = wl.zakai_flow(dt, n * dt, obs, gen, obs_map)
             ref_flow, ref_flow_log = loop_path(np.eye(model.d), obs.increments[1:n], dt, *parts)
             if n == 1:
                 assert np.array_equal(flow.entries, np.eye(model.d)) and flow.log_scale == 0.0
@@ -592,9 +598,7 @@ class TestScanWorkingSet:
         gen, obs_map = ref_model.generator, ref_model.observation
 
         def run():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", wl.IllConditionedWarning)
-                wl.zakai_flow(0.0, 100.0, obs, gen, obs_map)
+            wl.zakai_flow(0.0, 100.0, obs, gen, obs_map)
             wl.gauge_filter(ref_model.initial, 0.0, 100.0, obs, gen, obs_map)
 
         assert self.peak_bytes(run) < 2 * 2**20
@@ -1179,6 +1183,37 @@ class TestCellFactors:
             assert all(np.array_equal(got, expected) for got, expected in zip(factors, want, strict=True))
         assert j == n - 1
 
+    @pytest.mark.parametrize("value", [1e3, -1e3, math.nan])
+    def test_out_of_range_cell_raises_before_the_first_block(self, value):
+        """One cell of the last block whose exponent c dt leaves the double
+        range of exp (about 1e3 here), or is NaN, fails the loop at once."""
+        increments = np.zeros((3, 4 * _GAUGE_BLOCK))
+        increments[2, -1] = value
+        with pytest.raises(wl.StateCollapseError, match="double range"):
+            next(_cell_factors(increments, 1e-3, np.array([-1.0, -1.0]), np.array([0.0, 1.0])))
+
+    @given(bound=st.floats(200.0, 600.0), seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    def test_range_check_is_the_per_cell_check(self, bound, seed):
+        """The loop checks its extreme increments only; it raises exactly when
+        ``_gauge_factors`` raises for one of its cells alone."""
+        rng = np.random.default_rng(seed)
+        # levels of one sign, so that only one end of the increments can overflow
+        s_diag = -rng.uniform(0.0, 5.0, size=3)
+        levels = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 2.0, size=3)
+        increments = rng.uniform(-bound, bound, size=(4, 2 * _GAUGE_BLOCK))
+
+        def raises(fn):
+            try:
+                fn()
+            except wl.StateCollapseError:
+                return True
+            return False
+
+        per_cell = any(raises(lambda: _gauge_factors(increments[:, k], 1e-3, s_diag, levels))
+                       for k in range(increments.shape[1]))
+        assert raises(lambda: list(_cell_factors(increments, 1e-3, s_diag, levels))) == per_cell
+
 
 class TestRateLayout:
     """Every kernel call gets its rate rows ``t_off.T`` C-ordered, so BLAS runs
@@ -1188,14 +1223,26 @@ class TestRateLayout:
 
     CELLS = 3000
 
-    @pytest.mark.parametrize("route", ["audit", "inverse", "propagators"])
+    @pytest.mark.parametrize("route", ["audit", "inverse", "propagators", "lockstep"])
     def test_kernel_gets_contiguous_rate_rows(self, monkeypatch, three_state_model, route):
         """The flow loop, for the derivative audit's batch and for the inverse
-        propagator, and the per-cell maps of the prefix scan."""
+        propagator, the per-cell maps of the prefix scan, and the lockstep
+        stack's block-diagonal rates."""
         model = three_state_model
         increments = np.random.default_rng(9).normal(0.0, math.sqrt(1e-3), size=40)
         calls = record_kernel_calls(monkeypatch)
-        if route == "audit":
+        states = 6 if route == "lockstep" else 3
+        if route == "lockstep":
+            other = wl.FilterModel.from_raw([0.5, 0.25, 0.25], 2.0 * model.generator.entries,
+                                            model.observation.levels)
+            filters = [(m.initial, m.generator, m.observation) for m in (model, other)]
+            list(_lockstep(filters, np.stack([increments, -increments]), 1e-3))
+            # each model's rates off the diagonal in its block, exact zeros elsewhere
+            t_rows = calls[0][4].T
+            assert np.array_equal(t_rows[:3, :3], split_rate_matrix(model.generator)[1].T)
+            assert np.array_equal(t_rows[3:, 3:], split_rate_matrix(other.generator)[1].T)
+            assert np.count_nonzero(t_rows) == 12
+        elif route == "audit":
             pair = wl.ModelPair(true_model=model, approx_model=model)
             wl.run_derivative_audit(wl.ExperimentSpec(pair=pair, grid=wl.TimeGrid(0.04, 1e-3), n_trials=100,
                                                       master_seed=1, checkpoints=(0.0, 0.04)))
@@ -1206,7 +1253,7 @@ class TestRateLayout:
             cell_propagators(increments, 1e-3, model.generator, model.observation)
         assert calls
         for args in calls:
-            assert args[4].shape == (3, 3) and args[4].T.flags.c_contiguous
+            assert args[4].shape == (states, states) and args[4].T.flags.c_contiguous
 
     @pytest.mark.parametrize("d, n_filters, width", [(10, 2, 200), (3, 1, 1)])
     def test_lockstep_layouts_agree(self, d, n_filters, width):

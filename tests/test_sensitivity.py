@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import wonhamlab as wl
-from wonhamlab.filters import propagate_cell, propagate_cell_matrix, split_rate_matrix
+from conftest import batch_flows
+from wonhamlab.filters import propagate_cell, split_rate_matrix
 from wonhamlab.sensitivity import (
     _robustness_inequality_batch,
     derivative_from_flow,
@@ -12,18 +13,6 @@ from wonhamlab.sensitivity import (
     second_derivative_from_flow,
     smoothing_from_flow,
 )
-
-
-def batch_flows(model, increments, dt):
-    """Unit-mass propagators over the whole increment range, one per path."""
-    s_diag, t_off = split_rate_matrix(model.generator)
-    m = increments.shape[0]
-    flows = np.broadcast_to(np.eye(model.d), (m, model.d, model.d)).copy()
-    for k in range(increments.shape[1]):
-        flows = propagate_cell_matrix(flows, increments[:, k], dt, s_diag, t_off,
-                                      model.observation.levels)
-        flows /= flows.sum(axis=(1, 2), keepdims=True)
-    return flows
 
 
 class TestDerivativeFlow:
