@@ -589,7 +589,7 @@ def run_derivative_audit(spec: ExperimentSpec) -> ExperimentReport:
     )
     d = truth.d
     flows, _ = _flow_loop(np.broadcast_to(np.eye(d), (m, d, d)), increments, grid.dt,
-                          *split_rate_matrix(truth.generator), truth.observation.levels)
+                          *split_rate_matrix(truth.generator.entries), truth.observation.levels)
 
     z = _as_generator([spec.master_seed, 0xD1F]).standard_normal((m, d))
     v = z - z.mean(axis=1, keepdims=True)

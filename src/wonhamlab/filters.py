@@ -7,9 +7,10 @@ keeps every iterate nonnegative by construction, and strictly positive wherever
 the true weight is a normal double (with no rate into a state, its weight can
 underflow to 0.0).  Each grid cell is solved with one classical RK4 step,
 holding the observation path piecewise linear inside the cell.  There is one
-cell kernel, ``propagate_cell``, on one vector (d,) or rows (m, d).  Matrices
-advance column-wise, as rows: ``propagate_cell_matrix`` flattens their leading
-axes per call, for the one-path routes, and ``_flow_loop`` once per batch.
+cell kernel, ``propagate_cell``: one RK4 step of one vector (d,) or rows (m, d)
+on the gauge factors its caller hands it.  Matrices advance column-wise, as
+rows: ``propagate_cell_matrix`` flattens their leading axes per call, for the
+one-path routes, and ``_flow_loop`` once per batch.
 
 The per-cell maps of the linear equation do not depend on the state, so their
 products are associative.  Every recursion along one observation path runs
@@ -39,11 +40,11 @@ nothing to any sum.  Both batch loops take their gauge factors from
 numpy's innermost axis, each cell's kernel call handed its own contiguous
 slices.  The factors are elementwise, so no value moves.  Every route checks
 its exponents against the double range before any exp: an overflow is a
-StateCollapseError, not a NaN.  One splitter, ``_split_rates``, lays out every
-route's rate matrix ``t_off``, once per loop, as the transpose of a C-ordered
-array, so the row form ``t_off.T`` that each RK4 stage multiplies by is
-contiguous and BLAS runs its plain kernel, not the slower transposed one (the
-two round some sums apart).
+StateCollapseError, not a NaN.  One splitter, ``split_rate_matrix``, lays out
+every route's rate matrix ``t_off``, once per loop, as the transpose of a
+C-ordered array, so the row form ``t_off.T`` that each RK4 stage multiplies by
+is contiguous and BLAS runs its plain kernel, not the slower transposed one
+(the two round some sums apart).
 
 Two routes solve the nonlinear, normalized equation instead.  The projected
 route (``projected_filter_trajectory``) takes one RK4 step of its Wong-Zakai
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, NonPositiveEntryError, StateCollapseError
+from .errors import DimensionMismatchError, GridMismatchError, NonPositiveEntryError, StateCollapseError
 from .models import GeneratorMatrix, ObservationMap, validate_simplex
 from .simulate import ObservationPath, TimeGrid
 
@@ -116,17 +117,13 @@ def normalize_second_derivative(x) -> np.ndarray:
     return -(jac[:, :, None] + jac[:, None, :]) / arr.sum()
 
 
-def split_rate_matrix(generator: GeneratorMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal part and nonnegative off-diagonal part of the forward drift matrix."""
-    return _split_rates(generator.entries)
-
-
-def _split_rates(rates) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's ``s_diag`` and ``t_off`` of a rate matrix (D, D), for every route.
+def split_rate_matrix(rates) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's ``s_diag`` and ``t_off`` of a rate matrix (D, D), for every route:
+    the diagonal, and the rates with the diagonal zeroed.
 
     ``t_off`` is the transpose of a C-ordered array: ``propagate_cell`` multiplies
-    rows by ``t_off.T``, ``rates`` with its diagonal zeroed, and that operand is
-    then contiguous, so BLAS runs its plain (not transposed) matrix kernel.
+    rows by ``t_off.T``, and that operand is then contiguous, so BLAS runs its
+    plain (not transposed) matrix kernel.
     """
     t_rows = np.array(rates, dtype=float, order="C")
     s_diag = np.diag(t_rows).copy()
@@ -149,38 +146,32 @@ def _gauge_factors(d_y, dt: float, s_diag: np.ndarray, levels: np.ndarray) -> tu
     return np.exp(e_half, out=e_half), np.exp(e_full, out=e_full)
 
 
-def propagate_cell(values, d_y, dt, s_diag, t_off, levels, factors=None) -> np.ndarray:
-    """Advance unnormalized filter vectors across one grid cell (RK4 on the gauge ODE).
+def propagate_cell(values, dt, t_off, factors) -> np.ndarray:
+    """One RK4 step of the gauge ODE across one grid cell, on the factors it is handed.
 
-    ``values`` is one vector (d,) or rows (m, d), and ``d_y`` a scalar or one
-    increment per row.  A Monte Carlo stack of several models is one model
-    with a block-diagonal ``t_off`` (see ``_lockstep``).  Stacked models
-    (``values`` (F, m, d), ``s_diag`` and ``levels`` (F, 1, d), ``t_off``
-    (F, d, d)) broadcast too, but the package does not use that form.  The
-    image is entrywise positive whenever the input is, unless a weight
-    underflows to 0.0.  ``factors``, when given, is the pair ``_gauge_factors``
-    returns for ``d_y``, as ``_cell_factors`` and ``propagate_cell_matrix`` give it.
+    ``values`` is one vector (d,) or rows (m, d), and ``factors`` the pair
+    ``_gauge_factors`` gives for the cell's increment, one row per row of
+    ``values``.  A Monte Carlo stack of several models is one model with a
+    block-diagonal ``t_off`` (see ``_lockstep``).  The image is entrywise
+    positive whenever the input is, unless a weight underflows to 0.0.
 
-    Each RK4 stage multiplies the rows by ``t_off.T``.  Pass ``t_off`` as the
-    transpose of a C-ordered array, as ``split_rate_matrix`` returns it, so that
-    operand is contiguous and BLAS runs its plain kernel, not the transposed one;
-    the two round some sums apart.  A 2-D ``t_off`` goes to ``np.dot``, which
-    skips ``np.matmul``'s per-call dispatch; the stacked form keeps ``np.matmul``.
+    Each RK4 stage is an ``np.dot`` of the rows by ``t_off.T``: pass ``t_off``
+    as ``split_rate_matrix`` returns it, so that operand is contiguous and BLAS
+    runs its plain kernel, not the transposed one; the two round some sums apart.
     """
-    e_half, e_full = _gauge_factors(d_y, dt, s_diag, levels) if factors is None else factors
-    t_rows = np.swapaxes(t_off, -1, -2)
-    product = np.dot if t_rows.ndim == 2 else np.matmul
+    e_half, e_full = factors
+    t_rows = t_off.T
 
     def stage(h, k, e):
         # e * ((values + h * k) / e) @ t_rows, accumulated in place
         x = h * k
         x += values
         x /= e
-        x = product(x, t_rows)
+        x = np.dot(x, t_rows)
         x *= e
         return x
 
-    k1 = product(values, t_rows)
+    k1 = np.dot(values, t_rows)
     k2 = stage(0.5 * dt, k1, e_half)
     k3 = stage(0.5 * dt, k2, e_half)
     k4 = stage(dt, k3, e_full)
@@ -201,22 +192,20 @@ def propagate_cell_matrix(matrices, d_y, dt, s_diag, t_off, levels) -> np.ndarra
 
     ``d_y`` broadcasts over the leading axes, which are flattened here alone:
     the k columns of every matrix are rows of one kernel call, each with its
-    matrix's increment and gauge factors, computed once per matrix.
+    matrix's gauge factors, computed once per matrix.
     """
     rows = np.swapaxes(matrices, -1, -2)
-    d_y = np.asarray(d_y, dtype=float)[..., None]
-    e_half, e_full = _gauge_factors(d_y, dt, s_diag, levels)
+    e_half, e_full = _gauge_factors(np.asarray(d_y, dtype=float)[..., None], dt, s_diag, levels)
     shape = np.broadcast_shapes(rows.shape, e_full.shape)
     rows, e_half, e_full = (np.broadcast_to(a, shape).reshape(-1, shape[-1])
                             for a in (rows, e_half, e_full))
-    d_y = np.broadcast_to(d_y, shape[:-1]).reshape(-1)
-    out = propagate_cell(rows, d_y, dt, s_diag, t_off, levels, (e_half, e_full))
+    out = propagate_cell(rows, dt, t_off, (e_half, e_full))
     return np.swapaxes(out.reshape(shape), -1, -2)
 
 
 def _cell_factors(increments, dt, s_diag, levels):
-    """Each cell's increments (w,) and the pair ``_gauge_factors`` gives for them,
-    (w, D) each, bit for bit, over the cells of ``increments`` (..., n), w = prod(...).
+    """The pair ``_gauge_factors`` gives for each cell's increments, (w, D) each,
+    bit for bit, over the cells of ``increments`` (..., n), w = prod(...).
     Per block of ``_GAUGE_BLOCK`` cells, from a C-ordered copy of its increments,
     with the w * D (row, state) pairs innermost: the increments over dt repeated per
     state, the levels and rate constants tiled over the rows once.  The next block overwrites them.
@@ -238,7 +227,7 @@ def _cell_factors(increments, dt, s_diag, levels):
         np.subtract(tiled_base, c, out=c)
         factors = np.multiply(c, scales, out=buffers[:, :len(d_y)])
         e_half, e_full = np.exp(factors, out=factors).reshape(2, -1, width, states)
-        yield from zip(d_y, zip(e_half, e_full))
+        yield from zip(e_half, e_full)
 
 
 def _flow_loop(matrices, increments, dt, s_diag, t_off, levels) -> tuple[np.ndarray, np.ndarray]:
@@ -251,8 +240,8 @@ def _flow_loop(matrices, increments, dt, s_diag, t_off, levels) -> tuple[np.ndar
     rows = np.array(np.broadcast_to(np.swapaxes(matrices, -1, -2), lead + (k, d))).reshape(-1, k, d)
     per_row = np.broadcast_to(increments[..., None, :], lead + (k, increments.shape[-1]))
     log_mass = np.zeros(len(rows))
-    for step, factors in _cell_factors(per_row, dt, s_diag, levels):
-        rows = propagate_cell(rows.reshape(-1, d), step, dt, s_diag, t_off, levels, factors).reshape(-1, k, d)
+    for factors in _cell_factors(per_row, dt, s_diag, levels):
+        rows = propagate_cell(rows.reshape(-1, d), dt, t_off, factors).reshape(-1, k, d)
         mass = np.abs(rows).sum(axis=(1, 2))
         rows /= mass[:, None, None]
         log_mass += np.log(mass)
@@ -345,14 +334,14 @@ def _lockstep(filters, increments, dt):
     rates = np.zeros((count * d, count * d))
     for i, g in enumerate(generators):
         rates[i * d:(i + 1) * d, i * d:(i + 1) * d] = g.entries
-    s_diag, t_off = _split_rates(rates)
+    s_diag, t_off = split_rate_matrix(rates)
     levels = np.concatenate([o.levels for o in observations])
     block_ones = np.kron(np.eye(count), np.ones((d, d)))
     m = increments.shape[0]
     states = np.tile(np.concatenate(initials).astype(float), (m, 1))
     yield states.reshape(m, count, d).swapaxes(0, 1)
-    for step, factors in _cell_factors(increments, dt, s_diag, levels):
-        states = propagate_cell(states, step, dt, s_diag, t_off, levels, factors)
+    for factors in _cell_factors(increments, dt, s_diag, levels):
+        states = propagate_cell(states, dt, t_off, factors)
         states /= np.dot(states, block_ones)
         yield states.reshape(m, count, d).swapaxes(0, 1)
 
@@ -395,7 +384,7 @@ def cell_propagators(increments, dt, generator: GeneratorMatrix, observation: Ob
     """
     increments = np.asarray(increments, dtype=float)
     eye = np.broadcast_to(np.eye(generator.d), increments.shape + (generator.d, generator.d))
-    return propagate_cell_matrix(eye, increments, dt, *split_rate_matrix(generator), observation.levels)
+    return propagate_cell_matrix(eye, increments, dt, *split_rate_matrix(generator.entries), observation.levels)
 
 
 def gauge_filter(mu, s, t, obs: ObservationPath, generator: GeneratorMatrix,
@@ -405,11 +394,14 @@ def gauge_filter(mu, s, t, obs: ObservationPath, generator: GeneratorMatrix,
     Returns a unit-l1 nonnegative vector (positive unless a weight underflows)
     together with a log scale; the actual unnormalized value is
     exp(log_scale) times the vector.  Linear in mu, so scaling mu scales the
-    result.  Raises NonPositiveEntryError unless mu is strictly positive.
+    result.  Raises NonPositiveEntryError unless mu is strictly positive and
+    finite, and DimensionMismatchError unless it has one entry per state.
     """
     arr = np.asarray(mu, dtype=float)
-    if np.any(arr <= 0.0):
-        raise NonPositiveEntryError("gauge filter needs a strictly positive start")
+    if arr.shape != (generator.d,):
+        raise DimensionMismatchError(f"gauge filter start of shape {arr.shape} for {generator.d} states")
+    if not np.all((arr > 0.0) & np.isfinite(arr)):
+        raise NonPositiveEntryError("gauge filter needs a strictly positive finite start")
     total = arr.sum()
     rho, log_mass = _scan_range(arr / total, s, t, obs, generator, observation)
     return rho, math.log(total) + log_mass
@@ -596,7 +588,7 @@ def zakai_flow_inverse(s, t, obs: ObservationPath, generator: GeneratorMatrix,
     levels = observation.levels
     drift = np.diag(levels**2) - generator.entries
     z, log_scale = _flow_loop(np.eye(generator.d), _node_range(obs, s, t), obs.grid.dt,
-                              *_split_rates(drift.T), -levels)
+                              *split_rate_matrix(drift.T), -levels)
     return z.T, float(log_scale)
 
 

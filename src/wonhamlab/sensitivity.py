@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveEntryError, ObservationMismatchError
+from .errors import DimensionMismatchError, NonPositiveEntryError, ObservationMismatchError
 from .filters import (
     _endpoint_flows,
     _trajectories,
@@ -273,7 +273,7 @@ def derivative_records_to_csv(records, dest) -> None:
     """Write one row per record: horizon, route, direction and value components."""
     records = list(records)
     if not records:
-        raise ValueError("no records to export")
+        raise DimensionMismatchError("no records to export: the CSV has no state dimension")
     d = records[0].direction.shape[0]
     with open(dest, "w", newline="") as fh:
         writer = csv.writer(fh)

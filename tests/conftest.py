@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wonhamlab as wl
-from wonhamlab.filters import propagate_cell_matrix, split_rate_matrix
+from wonhamlab.filters import _gauge_factors, propagate_cell, propagate_cell_matrix, split_rate_matrix
 
 # The hypothesis plugin imports this module when it reports a failing example,
 # and it imports libcst, which raises a DeprecationWarning.  Under -W error that
@@ -63,13 +63,9 @@ def ref_obs(ref_model, observe):
     return observe(ref_model, 1.0, 1e-3, 20260810)
 
 
-def assert_tangent(vec, tol=1e-8):
-    assert abs(float(np.sum(vec))) <= tol
-
-
 def batch_flows(model, increments, dt):
     """Unit-mass propagators over the whole increment range, one per path."""
-    s_diag, t_off = split_rate_matrix(model.generator)
+    s_diag, t_off = split_rate_matrix(model.generator.entries)
     m = increments.shape[0]
     flows = np.broadcast_to(np.eye(model.d), (m, model.d, model.d)).copy()
     for k in range(increments.shape[1]):
@@ -77,3 +73,8 @@ def batch_flows(model, increments, dt):
                                       model.observation.levels)
         flows /= flows.sum(axis=(1, 2), keepdims=True)
     return flows
+
+
+def gauge_cell(values, d_y, dt, s_diag, t_off, levels):
+    """One cell kernel call on the gauge factors ``_gauge_factors`` gives for ``d_y``."""
+    return propagate_cell(values, dt, t_off, _gauge_factors(d_y, dt, s_diag, levels))

@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 
 import wonhamlab as wl
-from conftest import batch_flows
-from wonhamlab.filters import propagate_cell, split_rate_matrix
+from conftest import batch_flows, gauge_cell
+from wonhamlab.filters import split_rate_matrix
 from wonhamlab.sensitivity import (
     derivative_from_flow,
     second_derivative_from_flow,
@@ -300,12 +300,12 @@ def test_c7_reciprocal_power_moments(ref_model):
     increments = wl.simulate_increments_batch(
         ref_model.initial, ref_model.generator, ref_model.observation, grid, SEED + 7, m
     )
-    s_diag, t_off = split_rate_matrix(ref_model.generator)
+    s_diag, t_off = split_rate_matrix(ref_model.generator.entries)
     levels = ref_model.observation.levels
     state = np.broadcast_to(ref_model.initial, (m, 2)).copy()
     snapshots = {}
     for k in range(grid.n_steps):
-        state = propagate_cell(state, increments[:, k], grid.dt, s_diag, t_off, levels)
+        state = gauge_cell(state, increments[:, k], grid.dt, s_diag, t_off, levels)
         state /= state.sum(axis=1, keepdims=True)
         if k + 1 in (500, 1000):
             snapshots[(k + 1) * grid.dt] = state.copy()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import wonhamlab as wl
-from conftest import batch_flows
-from wonhamlab.filters import propagate_cell, split_rate_matrix
+from conftest import batch_flows, gauge_cell
+from wonhamlab.filters import split_rate_matrix
 from wonhamlab.sensitivity import (
     _robustness_inequality_batch,
     derivative_from_flow,
@@ -230,7 +230,7 @@ class TestLipschitzBound:
         increments = wl.simulate_increments_batch(
             ref_model.initial, ref_model.generator, ref_model.observation, grid, 606, m
         )
-        s_diag, t_off = split_rate_matrix(ref_model.generator)
+        s_diag, t_off = split_rate_matrix(ref_model.generator.entries)
         levels = ref_model.observation.levels
         state_1 = np.broadcast_to(np.array([0.5, 0.5]), (m, 2)).copy()
         state_2 = np.broadcast_to(np.array([0.2, 0.8]), (m, 2)).copy()
@@ -239,9 +239,9 @@ class TestLipschitzBound:
         means[0] = np.abs(state_2 - state_1).sum(axis=1).mean()
         pos = 1
         for k in range(grid.n_steps):
-            state_1 = propagate_cell(state_1, increments[:, k], grid.dt, s_diag, t_off, levels)
+            state_1 = gauge_cell(state_1, increments[:, k], grid.dt, s_diag, t_off, levels)
             state_1 /= state_1.sum(axis=1, keepdims=True)
-            state_2 = propagate_cell(state_2, increments[:, k], grid.dt, s_diag, t_off, levels)
+            state_2 = gauge_cell(state_2, increments[:, k], grid.dt, s_diag, t_off, levels)
             state_2 /= state_2.sum(axis=1, keepdims=True)
             if pos < step_nodes.shape[0] and k + 1 == step_nodes[pos]:
                 means[pos] = np.abs(state_2 - state_1).sum(axis=1).mean()
@@ -406,12 +406,12 @@ class TestInversePowerMoments:
         increments = wl.simulate_increments_batch(
             ref_model.initial, ref_model.generator, ref_model.observation, grid, 321, m
         )
-        s_diag, t_off = split_rate_matrix(ref_model.generator)
+        s_diag, t_off = split_rate_matrix(ref_model.generator.entries)
         levels = ref_model.observation.levels
         state = np.broadcast_to(ref_model.initial, (m, 2)).copy()
         recorded = {}
         for k in range(grid.n_steps):
-            state = propagate_cell(state, increments[:, k], grid.dt, s_diag, t_off, levels)
+            state = gauge_cell(state, increments[:, k], grid.dt, s_diag, t_off, levels)
             state /= state.sum(axis=1, keepdims=True)
             if k + 1 in (500, 1000):
                 recorded[(k + 1) * grid.dt] = state.copy()
@@ -439,3 +439,10 @@ class TestDerivativeRecords:
         assert lines[0] == "s,t,route,v_1,v_2,dpi_1,dpi_2"
         assert len(lines) == 2
         assert "flow" in lines[1]
+
+    def test_no_records_is_a_typed_error(self, tmp_path):
+        """With no records the CSV has no state dimension, and no file is written."""
+        dest = tmp_path / "records.csv"
+        with pytest.raises(wl.DimensionMismatchError, match="no records"):
+            wl.derivative_records_to_csv([], dest)
+        assert not dest.exists()
