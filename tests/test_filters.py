@@ -774,6 +774,19 @@ def per_cell_lockstep(filters, increments, dt, c_ordered_rates=False):
         yield states.reshape(m, count, d).swapaxes(0, 1)
 
 
+def stacked_models(models, increments, dt):
+    """Reference driver: each model its own ``(m, d)`` rows, one gauge kernel
+    call per model per cell, stacked to ``(F, m, d)`` at every node."""
+    parts = [kernel_parts(model) for model in models]
+    states = [np.tile(np.asarray(model.initial, dtype=float), (increments.shape[0], 1))
+              for model in models]
+    yield np.stack(states)
+    for k in range(increments.shape[1]):
+        states = [gauge_cell(state, increments[:, k], dt, *p) for state, p in zip(states, parts)]
+        states = [state / state.sum(axis=1, keepdims=True) for state in states]
+        yield np.stack(states)
+
+
 class TestBlockDiagonalStack:
     """``_lockstep`` advances F filters as one model with F * d states."""
 
@@ -821,6 +834,26 @@ class TestBlockDiagonalStack:
                 assert got.shape == (width, 9) and got.flags.c_contiguous
                 assert np.array_equal(got, expected)
         assert len(calls) == n
+
+    @given(d=st.integers(2, 10), n_filters=st.integers(1, 4), width=st.integers(1, 6),
+           n=st.sampled_from([0, 1, 37]), dt=st.sampled_from([1e-3, 1e-2]),
+           mixing=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 2**32 - 1))
+    @KERNEL_SETTINGS
+    def test_matches_stacked_models(self, d, n_filters, width, n, dt, mixing, seed):
+        """The block-diagonal stack against the F models stepped one kernel
+        call per model per cell and stacked; nodes yielded earlier do not
+        change as the driver advances."""
+        rng = np.random.default_rng(seed)
+        models = [random_model(rng, d, mixing[f]) for f in range(n_filters)]
+        filters = [(m.initial, m.generator, m.observation) for m in models]
+        increments = rng.normal(0.0, math.sqrt(dt), size=(width, n))
+        yielded = [(stack, stack.copy()) for stack in _lockstep(filters, increments, dt)]
+        reference = list(stacked_models(models, increments, dt))
+        assert len(yielded) == len(reference) == n + 1
+        for (stack, at_yield), expected in zip(yielded, reference):
+            assert stack.shape == (n_filters, width, d)
+            assert np.array_equal(stack, at_yield)
+            assert np.abs(stack - expected).sum(axis=-1).max() <= 1e-14
 
     @given(d=st.integers(2, 6), n_filters=st.integers(1, 2), width=st.integers(1, 9),
            n=st.sampled_from([1, 37]), dt=st.sampled_from([1e-3, 4e-3]),
