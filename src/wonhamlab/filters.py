@@ -27,8 +27,8 @@ the signed inverse propagator, share one loop, ``_flow_loop``: one kernel call
 per cell, each matrix rescaled to unit absolute mass.  Monte Carlo batches
 instead advance the filters that share their paths in lockstep, with one
 kernel call per cell: there one call already covers many paths, and the scan's
-extra matrix products would cost more than the calls it saves.
-``_trajectories`` makes that choice from the number of paths.  The
+extra matrix products would cost more than the calls it saves.  No code
+chooses between the two: one-path routes call the scan, batches the stack.  The
 unnormalized equations of different models do not couple, so ``_lockstep``
 runs a stack of F models with d states each as one model with F * d states:
 the diagonal rates and levels concatenated, the F off-diagonal blocks on the
@@ -346,16 +346,17 @@ def _lockstep(filters, increments, dt):
         yield states.reshape(m, count, d).swapaxes(0, 1)
 
 
-def _trajectories(filters, increments, dt) -> np.ndarray:
-    """Values (F, m, n + 1, d) of (initial, generator, observation) ``filters``
-    at every node of every path of ``increments`` (m, n), unit mass after node 0.
-
-    The one place that picks the driver from the number of paths: one path
-    runs each filter through the prefix scan, a batch advances them in lockstep.
-    """
-    if increments.shape[0] == 1:
-        return np.stack([_scan_nodes(mu, increments[0], dt, g, o)[0] for mu, g, o in filters])[:, None]
-    return np.stack(list(_lockstep(filters, increments, dt)), axis=2)
+def _check_sizes(generator: GeneratorMatrix, observation: ObservationMap, *vectors) -> None:
+    """Raise DimensionMismatchError unless the observation levels, and the last
+    axis of each array in ``vectors`` (starts, directions), have one entry per
+    state of ``generator``.  Every public route that takes loose model parts
+    calls it."""
+    d = len(generator.entries)
+    if len(observation.levels) != d:
+        raise DimensionMismatchError(f"{len(observation.levels)} observation levels for {d} states")
+    for x in vectors:
+        if x.shape[-1:] != (d,):
+            raise DimensionMismatchError(f"a vector of shape {x.shape} for {d} states")
 
 
 def _node_range(obs: ObservationPath, s, t) -> np.ndarray:
@@ -395,16 +396,21 @@ def gauge_filter(mu, s, t, obs: ObservationPath, generator: GeneratorMatrix,
     together with a log scale; the actual unnormalized value is
     exp(log_scale) times the vector.  Linear in mu, so scaling mu scales the
     result.  Raises NonPositiveEntryError unless mu is strictly positive and
-    finite, and DimensionMismatchError unless it has one entry per state.
+    finite, and DimensionMismatchError unless it and the levels have one entry
+    per state.
     """
     arr = np.asarray(mu, dtype=float)
+    _check_sizes(generator, observation)
     if arr.shape != (generator.d,):
         raise DimensionMismatchError(f"gauge filter start of shape {arr.shape} for {generator.d} states")
     if not np.all((arr > 0.0) & np.isfinite(arr)):
         raise NonPositiveEntryError("gauge filter needs a strictly positive finite start")
+    # Rescaled by the largest entry before the sum, as in ``normalize``: the sum cannot overflow.
+    peak = arr.max()
+    arr = arr / peak
     total = arr.sum()
     rho, log_mass = _scan_range(arr / total, s, t, obs, generator, observation)
-    return rho, math.log(total) + log_mass
+    return rho, math.log(peak) + math.log(total) + log_mass
 
 
 def filter_semiflow(mu, s, t, obs: ObservationPath, generator: GeneratorMatrix,
@@ -436,6 +442,7 @@ def filter_trajectory(initial, generator: GeneratorMatrix, observation: Observat
                       obs: ObservationPath) -> FilterTrajectory:
     """Run the reference integrator over the whole grid from the given initial law."""
     pi0 = validate_simplex(initial)
+    _check_sizes(generator, observation, pi0)
     values, log_scale = _scan_nodes(pi0, obs.increments, obs.grid.dt, generator, observation)
     return FilterTrajectory(grid=obs.grid, values=values, log_scale=log_scale, initial=pi0)
 
@@ -451,8 +458,15 @@ def wonham_step(pi, d_y, dt: float, generator: GeneratorMatrix,
     """
     pi = np.asarray(pi, dtype=float)
     levels = observation.levels
-    m = (pi @ levels)[..., None]
-    step = pi + (pi @ generator.entries) * dt + pi * (levels - m) * (np.asarray(d_y)[..., None] - m * dt)
+    try:
+        m = (pi @ levels)[..., None]
+        drift = (pi @ generator.entries) * dt
+    except ValueError:
+        # Every size mismatch fails one of these products, so the check runs
+        # only then, not once per cell of the Euler loops.
+        _check_sizes(generator, observation, pi)
+        raise
+    step = pi + drift + pi * (levels - m) * (np.asarray(d_y)[..., None] - m * dt)
     lowest = step.min()
     if lowest < -0.5:
         raise StateCollapseError(f"Euler step produced component {lowest:.3f}; reduce dt")
@@ -464,6 +478,7 @@ def euler_filter_trajectory(initial, generator: GeneratorMatrix, observation: Ob
                             obs: ObservationPath) -> np.ndarray:
     """Euler diagnostic route over the whole grid; returns values at every node."""
     pi = validate_simplex(initial)
+    _check_sizes(generator, observation, pi)
     values = np.empty((obs.grid.n_steps + 1, generator.d))
     values[0] = pi
     for k, d_y in enumerate(obs.increments):
@@ -492,6 +507,7 @@ def projected_filter_trajectory(initial, generator: GeneratorMatrix, observation
     positive and finite; never clips.
     """
     pi = validate_simplex(initial)
+    _check_sizes(generator, observation, pi)
     grid = obs.grid
     dt = grid.dt
     levels = observation.levels
@@ -554,6 +570,7 @@ def zakai_flow(s, t, obs: ObservationPath, generator: GeneratorMatrix,
     Over long spans it tends to rank one as the filter forgets its start, with
     accurate entries, so no condition number is checked (about 1e17 at t = 20).
     """
+    _check_sizes(generator, observation)
     u, log_scale = _scan_range(np.eye(generator.d), s, t, obs, generator, observation)
     return FlowMatrix(entries=u, log_scale=log_scale, s=float(s), t=float(t))
 
@@ -585,6 +602,7 @@ def zakai_flow_inverse(s, t, obs: ObservationPath, generator: GeneratorMatrix,
     the products are renormalized by absolute mass, which the scan's unit-mass
     products do not carry.
     """
+    _check_sizes(generator, observation)
     levels = observation.levels
     drift = np.diag(levels**2) - generator.entries
     z, log_scale = _flow_loop(np.eye(generator.d), _node_range(obs, s, t), obs.grid.dt,

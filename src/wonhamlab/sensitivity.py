@@ -7,6 +7,11 @@ propagator; the smoothing route evaluates the same derivative from the
 conditional law of the initial state given the observations and the terminal
 state.  Log scales cancel in both routes because the simplex projection and its
 derivatives are homogeneous, so all algebra runs on unit-mass propagators.
+
+The pathwise checks (``robustness_inequality``, ``error_representation_check``)
+take one observation path: their filter trajectories run on the prefix scan of
+``filters`` and their endpoint flows on its suffix scan.  A batch of paths is a
+loop over ``ObservationPath`` rows; there is no batch form.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonPositiveEntryError, ObservationMismatchError
+from .errors import DimensionMismatchError, GridMismatchError, NonPositiveEntryError, ObservationMismatchError
 from .filters import (
+    _check_sizes,
     _endpoint_flows,
-    _trajectories,
+    _scan_nodes,
     cell_propagators,
     normalize_second_derivative,
     zakai_flow,
@@ -109,6 +115,7 @@ def derivative_flow(mu, v, s, t, obs: ObservationPath, generator: GeneratorMatri
     """Directional derivative of the filter restarted at s, evaluated at t (flow route)."""
     mu = validate_simplex(mu)
     v = validate_tangent(v)
+    _check_sizes(generator, observation, mu, v)
     flow = zakai_flow(s, t, obs, generator, observation)
     return derivative_from_flow(flow.entries, mu, v)
 
@@ -117,6 +124,7 @@ def smoothing_matrix(t, obs: ObservationPath, initial, generator: GeneratorMatri
                      observation: ObservationMap) -> np.ndarray:
     """Posterior of the initial state given observations up to t and the state at t."""
     nu = validate_simplex(initial)
+    _check_sizes(generator, observation, nu)
     flow = zakai_flow(0.0, t, obs, generator, observation)
     return smoothing_from_flow(flow.entries, nu)
 
@@ -126,6 +134,7 @@ def derivative_smoothing_route(initial, v, t, obs: ObservationPath, generator: G
     """Directional derivative at the true initial law via smoothing probabilities."""
     nu = validate_simplex(initial)
     v = validate_tangent(v)
+    _check_sizes(generator, observation, nu, v)
     flow = zakai_flow(0.0, t, obs, generator, observation)
     return derivative_from_smoothing(flow.entries, nu, v)
 
@@ -139,6 +148,7 @@ def tilted_filter(mu, t, obs: ObservationPath, initial, generator: GeneratorMatr
     """
     nu = validate_simplex(initial)
     mu = validate_simplex(mu)
+    _check_sizes(generator, observation, nu, mu)
     flow = zakai_flow(0.0, t, obs, generator, observation)
     x = flow.apply(nu)
     pi = x / x.sum()
@@ -149,25 +159,30 @@ def tilted_filter(mu, t, obs: ObservationPath, initial, generator: GeneratorMatr
     return numerator / (ratio @ joint.sum(axis=1))
 
 
+def _decay(generator: GeneratorMatrix, s, t) -> float:
+    """exp(-beta (t - s)) at the forgetting rate beta of ``generator``; needs s <= t."""
+    if t < s:
+        raise GridMismatchError("need s <= t")
+    return math.exp(-mixing_rate(generator) * (t - s))
+
+
 def derivative_bound(mu, v, s, t, generator: GeneratorMatrix) -> float:
     """Almost-sure bound on the l1 size of the filter derivative.
 
     Sum of |v_k|/mu_k, damped exponentially at the forgetting rate of the
-    (mixing) rate matrix the filter runs with.
+    (mixing) rate matrix the filter runs with.  Raises GridMismatchError when t < s.
     """
     mu = validate_simplex(mu)
     v = validate_tangent(v)
-    beta = mixing_rate(generator)
-    return float((np.abs(v) / mu).sum() * math.exp(-beta * (t - s)))
+    return float((np.abs(v) / mu).sum() * _decay(generator, s, t))
 
 
 def lipschitz_bound(mu_1, mu_2, s, t, generator: GeneratorMatrix) -> float:
-    """Almost-sure bound on the l1 gap between filters restarted from two laws."""
+    """Almost-sure bound on the l1 gap between filters restarted from two laws; needs s <= t."""
     mu_1 = validate_simplex(mu_1)
     mu_2 = validate_simplex(mu_2)
-    beta = mixing_rate(generator)
     prefactor = float(np.maximum(1.0 / mu_1, 1.0 / mu_2).max())
-    return prefactor * float(np.abs(mu_2 - mu_1).sum()) * math.exp(-beta * (t - s))
+    return prefactor * float(np.abs(mu_2 - mu_1).sum()) * _decay(generator, s, t)
 
 
 def second_derivative_flow(mu, v, s, t, obs: ObservationPath, generator: GeneratorMatrix,
@@ -179,6 +194,7 @@ def second_derivative_flow(mu, v, s, t, obs: ObservationPath, generator: Generat
     """
     mu = validate_simplex(mu)
     v = validate_tangent(v)
+    _check_sizes(generator, observation, mu, v)
     flow = zakai_flow(s, t, obs, generator, observation)
     x = flow.apply(mu)
     w = flow.apply(v)
@@ -187,25 +203,24 @@ def second_derivative_flow(mu, v, s, t, obs: ObservationPath, generator: Generat
 
 
 def second_derivative_gap_bound(mu, v, w, s, t, generator: GeneratorMatrix) -> float:
-    """Almost-sure bound on the l1 gap between second derivatives along v and w."""
+    """Almost-sure bound on the l1 gap between second derivatives along v and w; needs s <= t."""
     mu = validate_simplex(mu)
     v = validate_tangent(v)
     w = validate_tangent(w)
-    beta = mixing_rate(generator)
     plus = (np.abs(v + w) / mu).sum()
     minus = (np.abs(v - w) / mu).sum()
-    return float(2.0 * plus * minus * math.exp(-beta * (t - s)))
+    return float(2.0 * plus * minus * _decay(generator, s, t))
 
 
 def _pathwise(pair: ModelPair, starts, increments, dt, flow_generator: GeneratorMatrix):
-    """Set-up of the pathwise checks on the paths of ``increments`` (m, n): the
+    """Set-up of the pathwise checks on one path of ``increments`` (n,): the
     guard that both models share one observation function, the trajectories
-    (F, m, n + 1, d) of the (initial, generator) ``starts`` under it, and the
-    endpoint flows (m, n + 1, d, d) of ``flow_generator``."""
+    (F, n + 1, d) of the (initial, generator) ``starts`` under it, each through
+    the prefix scan, and the endpoint flows (n + 1, d, d) of ``flow_generator``."""
     levels = pair.true_model.observation
     if observation_gap(levels, pair.approx_model.observation) > 0.0:
         raise ObservationMismatchError("the pathwise checks require identical observation functions")
-    trajectories = _trajectories([(mu, g, levels) for mu, g in starts], increments, dt)
+    trajectories = np.stack([_scan_nodes(mu, increments, dt, g, levels)[0] for mu, g in starts])
     return trajectories, _endpoint_flows(cell_propagators(increments, dt, flow_generator, levels))
 
 
@@ -220,30 +235,13 @@ def error_representation_check(t, obs: ObservationPath, pair: ModelPair) -> floa
     truth, approx = pair.true_model, pair.approx_model
     grid, n = obs.grid, obs.grid.node(t)
     starts = [(approx.initial, approx.generator), (approx.initial, truth.generator)]
-    (breve, restarted), flows = _pathwise(pair, starts, obs.increments[None, :n], grid.dt, truth.generator)
-    breve, restarted, flows = breve[0], restarted[0], flows[0]
+    (breve, restarted), flows = _pathwise(pair, starts, obs.increments[:n], grid.dt, truth.generator)
     delta = approx.generator.drift_transpose - truth.generator.drift_transpose
     mismatch = breve @ delta.T
     integrand = derivative_from_flow(flows, breve, mismatch)
     rhs = np.trapezoid(integrand, dx=grid.dt, axis=0)
     lhs = breve[n] - restarted[n]
     return float(np.abs(lhs - rhs).sum())
-
-
-def _robustness_inequality_batch(increments, dt, pair: ModelPair) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the integrated error bound for a batch of paths."""
-    truth, approx = pair.true_model, pair.approx_model
-    inc = np.atleast_2d(np.asarray(increments, dtype=float))
-    (true_traj, approx_from_mu, approx_from_nu), flows = _pathwise(
-        pair, [(truth.initial, truth.generator), (approx.initial, approx.generator),
-               (truth.initial, approx.generator)], inc, dt, approx.generator)
-    opnorms = derivative_opnorm_from_flow(flows, true_traj)
-    delta = truth.generator.drift_transpose - approx.generator.drift_transpose
-    mismatch_l1 = np.abs(true_traj @ delta.T).sum(axis=-1)
-    integral = np.trapezoid(opnorms * mismatch_l1, dx=dt, axis=-1)
-    forgetting = np.abs(approx_from_nu[:, -1] - approx_from_mu[:, -1]).sum(axis=-1)
-    lhs = np.abs(true_traj[:, -1] - approx_from_mu[:, -1]).sum(axis=-1)
-    return lhs, forgetting + integral
 
 
 def robustness_inequality(t, obs: ObservationPath, pair: ModelPair) -> tuple[float, float]:
@@ -254,8 +252,18 @@ def robustness_inequality(t, obs: ObservationPath, pair: ModelPair) -> tuple[flo
     drift mismatch along the correctly filtered trajectory.  Requires identical
     observation functions.
     """
-    lhs, rhs = _robustness_inequality_batch(obs.increments[None, :obs.grid.node(t)], obs.grid.dt, pair)
-    return float(lhs[0]), float(rhs[0])
+    truth, approx = pair.true_model, pair.approx_model
+    dt = obs.grid.dt
+    (true_traj, approx_from_mu, approx_from_nu), flows = _pathwise(
+        pair, [(truth.initial, truth.generator), (approx.initial, approx.generator),
+               (truth.initial, approx.generator)], obs.increments[:obs.grid.node(t)], dt, approx.generator)
+    opnorms = derivative_opnorm_from_flow(flows, true_traj)
+    delta = truth.generator.drift_transpose - approx.generator.drift_transpose
+    mismatch_l1 = np.abs(true_traj @ delta.T).sum(axis=-1)
+    integral = np.trapezoid(opnorms * mismatch_l1, dx=dt)
+    forgetting = np.abs(approx_from_nu[-1] - approx_from_mu[-1]).sum()
+    lhs = np.abs(true_traj[-1] - approx_from_mu[-1]).sum()
+    return float(lhs), float(forgetting + integral)
 
 
 @dataclass(frozen=True)

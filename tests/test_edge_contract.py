@@ -3,13 +3,16 @@
 At the edges (up to ten states, an initial weight of 1e-300, rate matrices
 that do not mix, paths of up to about 2000 cells) every route either returns
 finite values, nonnegative where they are weights, or raises a typed
-``WonhamLabError``.
+``WonhamLabError``.  Every route that takes loose model parts raises
+``DimensionMismatchError`` when their sizes disagree.
 """
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -108,3 +111,45 @@ def test_one_path_routes_give_finite_weights_or_a_typed_error(d, n, dt, seed):
         if not check(out):
             bad.append(name)
     assert not bad, f"non-finite or negative values from {bad} (d={d}, n={n}, dt={dt})"
+
+
+# Routes that take whole validated models, which cannot disagree on the state count.
+WHOLE_MODEL_ROUTES = {"robustness_inequality", "error_representation_check", "measure_integrator_tolerance"}
+# Routes that read no start, and the routes that read a direction.
+NO_START_ROUTES = {"zakai_flow", "zakai_flow_inverse"}
+DIRECTION_ROUTES = {"derivative_flow", "second_derivative_flow", "derivative_smoothing_route"}
+
+
+@pytest.mark.parametrize("part", ["levels", "start", "direction"])
+def test_loose_parts_of_mismatched_sizes_raise_a_typed_error(part):
+    """Three-state rates with the levels, start or direction of a two-state
+    model: every route of ``routes`` that takes loose parts, and ``wonham_step``,
+    raises DimensionMismatchError (not numpy's ValueError) when it reads the
+    odd part, and runs otherwise."""
+    rng = np.random.default_rng(11)
+    model, small = edge_model(rng, 3), edge_model(rng, 2)
+    pair = wl.ModelPair(true_model=model, approx_model=edge_model(rng, 3, model.observation.levels))
+    grid = wl.TimeGrid(0.05, 1e-3)
+    obs = wl.simulate_observations(wl.simulate_signal(model.initial, model.generator, grid, rng),
+                                   model.observation, grid, rng)
+    loose = SimpleNamespace(initial=model.initial, generator=model.generator, observation=model.observation)
+    v = np.array([0.5, -0.25, -0.25])
+    if part == "levels":
+        loose.observation = small.observation
+    elif part == "start":
+        loose.initial = small.initial
+    else:
+        v = np.array([0.5, -0.5])
+    loose_routes = [(name, call) for name, call, _ in routes(loose, pair, obs, v)
+                    if name not in WHOLE_MODEL_ROUTES]
+    loose_routes.append(("wonham_step", lambda: wl.wonham_step(loose.initial, 0.01, grid.dt,
+                                                               loose.generator, loose.observation)))
+    names = {name for name, _ in loose_routes}
+    reading = {"levels": names, "start": names - NO_START_ROUTES, "direction": DIRECTION_ROUTES}[part]
+    assert len(names) == 13 and reading <= names
+    for name, call in loose_routes:
+        if name in reading:
+            with pytest.raises(wl.DimensionMismatchError):
+                call()
+        else:
+            call()

@@ -20,8 +20,8 @@ from wonhamlab.filters import (
     _gauge_factors,
     _lockstep,
     _prefix_products,
+    _scan_nodes,
     _scan_path,
-    _trajectories,
     cell_propagators,
     propagate_cell,
     propagate_cell_matrix,
@@ -154,6 +154,20 @@ class TestGaugeFilter:
         for route in (wl.gauge_filter, wl.filter_semiflow):
             with pytest.raises(error):
                 route(start, 0.0, 0.01, ref_obs, ref_model.generator, ref_model.observation)
+
+    def test_start_near_the_double_range(self, ref_model, ref_obs):
+        """A finite start whose sum overflows is rescaled by its largest entry
+        first: the vector of an equal start, and a finite log scale."""
+        args = (ref_obs, ref_model.generator, ref_model.observation)
+        rho, log_scale = wl.gauge_filter([1e308, 1e308], 0.3, 0.3, *args)
+        assert np.array_equal(rho, [0.5, 0.5])
+        assert log_scale == pytest.approx(math.log(1e308) + math.log(2.0), rel=1e-15)
+        rho, log_scale = wl.gauge_filter([1e308, 1e308], 0.0, 0.01, *args)
+        half, half_log = wl.gauge_filter([0.5, 0.5], 0.0, 0.01, *args)
+        assert np.array_equal(rho, half)
+        assert math.isfinite(log_scale)
+        assert log_scale - half_log == pytest.approx(math.log(1e308) + math.log(2.0), rel=1e-15)
+        assert np.array_equal(wl.filter_semiflow([1e308, 1e308], 0.0, 0.01, *args), half)
 
     def test_zero_rates_give_closed_form(self, ref_obs):
         # With a zero rate matrix the gauge ODE right side vanishes and each
@@ -953,16 +967,12 @@ class TestOnePathRoutes:
     def test_one_path_trajectories_match_lockstep(self, model, mixing, n, dt, seed):
         other = random_model(np.random.default_rng(seed), model.d, mixing)
         filters = [(m.initial, m.generator, m.observation) for m in (model, other)]
-        inc = simulated_obs(model, max(1, n), dt, seed).increments[None, :n]
-        values = _trajectories(filters, inc, dt)
-        reference = np.stack(list(_lockstep(filters, inc, dt)), axis=2)
-        assert values.shape == reference.shape == (2, 1, n + 1, model.d)
+        inc = simulated_obs(model, max(1, n), dt, seed).increments[:n]
+        values = np.stack([_scan_nodes(mu, inc, dt, g, o)[0] for mu, g, o in filters])
+        reference = np.stack(list(_lockstep(filters, inc[None], dt)), axis=2)[:, 0]
+        assert values.shape == reference.shape == (2, n + 1, model.d)
         assert np.abs(values - reference).sum(axis=-1).max() <= 1e-12
         assert np.all(values[reference >= np.finfo(float).tiny] > 0.0)
-        # a batch of paths keeps the lockstep driver, exactly
-        pair = np.concatenate([inc, inc[:, ::-1]])
-        assert np.array_equal(_trajectories(filters, pair, dt),
-                              np.stack(list(_lockstep(filters, pair, dt)), axis=2))
 
     @pytest.mark.parametrize("n", ROUTE_LENGTHS)
     @given(model=scan_models(), width=st.sampled_from([None, 1, 3]),

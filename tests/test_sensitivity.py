@@ -7,7 +7,6 @@ import wonhamlab as wl
 from conftest import batch_flows, gauge_cell
 from wonhamlab.filters import split_rate_matrix
 from wonhamlab.sensitivity import (
-    _robustness_inequality_batch,
     derivative_from_flow,
     derivative_opnorm_from_flow,
     second_derivative_from_flow,
@@ -174,6 +173,19 @@ class TestDerivativeBound:
         gen = wl.validate_generator([[-1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(wl.NotMixingError):
             wl.derivative_bound([0.5, 0.5], [1.0, -1.0], 0.0, 1.0, gen)
+
+    @pytest.mark.parametrize("bound", [
+        lambda s, t, gen: wl.derivative_bound([0.5, 0.5], [1.0, -1.0], s, t, gen),
+        lambda s, t, gen: wl.lipschitz_bound([0.5, 0.5], [0.3, 0.7], s, t, gen),
+        lambda s, t, gen: wl.second_derivative_gap_bound([0.5, 0.5], [1.0, -1.0], [0.5, -0.5], s, t, gen),
+    ], ids=["derivative", "lipschitz", "second_derivative_gap"])
+    def test_reversed_span_rejected(self, bound):
+        """A span with t < s is a GridMismatchError, as on every route over [s, t];
+        it would otherwise grow the bound by exp(+beta (s - t))."""
+        gen = wl.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+        assert bound(0.5, 0.5, gen) == bound(0.0, 0.0, gen)
+        with pytest.raises(wl.GridMismatchError):
+            bound(1.0, 0.0, gen)
 
     def test_pathwise_domination_ten_thousand_draws(self, ref_model):
         # 500 paths x 20 random (mu, v) draws; zero violations beyond 1e-6
@@ -378,8 +390,9 @@ class TestRobustnessInequality:
                 ref_model.initial, ref_model.generator, ref_model.observation,
                 grid, 51_000 + chunk_seed, 250,
             )
-            lhs, rhs = _robustness_inequality_batch(increments, grid.dt, pair)
-            violations += int((~(lhs <= rhs + allowance)).sum())
+            for row in increments:
+                lhs, rhs = wl.robustness_inequality(grid.t_end, wl.ObservationPath(row, grid), pair)
+                violations += not lhs <= rhs + allowance
         assert violations == 0
 
     def test_opnorm_dominates_specific_directions(self, ref_model, ref_obs):
