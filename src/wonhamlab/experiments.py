@@ -264,14 +264,16 @@ def _dense_nodes(grid: TimeGrid) -> np.ndarray:
 def _campaign(spec: ExperimentSpec, models, n_trials: int, excursion_bound=None) -> dict:
     """Simulate the true model's paths once and run ``models`` on them in lockstep.
 
-    Records each later model's squared l2 and l1 gap to the first at the dense
-    nodes and the checkpoints, as C-ordered (F-1, n_trials, nodes) arrays, and
-    counts per model the (trial, node) pairs where the squared gap exceeds the
-    l1 gap; records the first model's reciprocal smallest weight at the
-    checkpoints.  ``excursion_bound`` (one value per grid node) also counts the
-    (trial, node) pairs, over every node, whose l1 gap exceeds it.  Each
-    distinct model runs once: one whose initial law, rate matrix and levels are
-    bytewise equal to an earlier one's shares that filter.
+    Records, once per recorded node (the sorted union of the dense nodes and
+    the checkpoints), each later model's squared l2 and l1 gap to the first,
+    (F-1, n_trials, nodes), and the first model's reciprocal smallest weight,
+    (n_trials, nodes), and counts per later model the (trial, node) pairs where
+    the squared gap exceeds the l1 gap.  Each record's dense and checkpoint
+    columns come back as C-ordered copies: the layout fixes the means' summation
+    order.  ``excursion_bound`` (one value per grid node) also counts the
+    (trial, node) pairs, over every node, whose l1 gap exceeds it.  Each distinct
+    model runs once: one whose initial law, rate matrix and levels are bytewise
+    equal to an earlier one's shares that filter.
     """
     truth = spec.pair.true_model
     grid = spec.grid
@@ -279,19 +281,12 @@ def _campaign(spec: ExperimentSpec, models, n_trials: int, excursion_bound=None)
         truth.initial, truth.generator, truth.observation, grid, spec.master_seed, n_trials
     )
     dense = _dense_nodes(grid)
-    dense_pos = {int(node): i for i, node in enumerate(dense)}
-    chk_pos = {grid.node(c): i for i, c in enumerate(spec.checkpoints)}
-    per_model = (len(models) - 1, n_trials)
-    out = {
-        "dense_times": dense * grid.dt,
-        "sq_dense": np.empty(per_model + (len(dense),)),
-        "l1_dense": np.empty(per_model + (len(dense),)),
-        "sq_chk": np.empty(per_model + (len(chk_pos),)),
-        "l1_chk": np.empty(per_model + (len(chk_pos),)),
-        "inv_min": np.empty((n_trials, len(chk_pos))),
-        "l1_dominance": np.zeros(len(models) - 1, dtype=int),
-        "excursions": 0,
-    }
+    checkpoints = [grid.node(c) for c in spec.checkpoints]
+    # Sorted in Python: np.union1d would import numpy.ma, about 1 MiB of peak memory.
+    pos = {node: i for i, node in enumerate(sorted({*dense.tolist(), *checkpoints}))}
+    sq_gap, l1_gap = np.empty((2, len(models) - 1, n_trials, len(pos)))
+    inv_min = np.empty((n_trials, len(pos)))
+    excursions = 0
     row_of = {}
     rows = [row_of.setdefault((m.initial.tobytes(), m.generator.entries.tobytes(),
                                m.observation.levels.tobytes()), len(row_of)) for m in models]
@@ -309,22 +304,22 @@ def _campaign(spec: ExperimentSpec, models, n_trials: int, excursion_bound=None)
                 nodes = block[:b + 1].reshape(b + 1, n_trials, -1, d)
                 l1 = np.abs(nodes[..., later, :] - nodes[..., :1, :]).sum(axis=-1)
                 bounds = excursion_bound[k - b:k + 1, None, None]
-                out["excursions"] += int((~(l1 <= bounds)).sum())
-        i, j = dense_pos.get(k), chk_pos.get(k)
-        if i is None and j is None:
+                excursions += int((~(l1 <= bounds)).sum())
+        i = pos.get(k)
+        if i is None:
             continue
         diff = states[later] - states[0]
-        l1 = np.abs(diff).sum(axis=-1)
-        sq = (diff * diff).sum(axis=-1)
-        out["l1_dominance"] += (~(sq <= l1)).sum(axis=-1)
-        if i is not None:
-            out["sq_dense"][..., i] = sq
-            out["l1_dense"][..., i] = l1
-        if j is not None:
-            out["sq_chk"][..., j] = sq
-            out["l1_chk"][..., j] = l1
-            out["inv_min"][:, j] = 1.0 / states[0].min(axis=1)
-    return out
+        l1_gap[..., i] = np.abs(diff).sum(axis=-1)
+        sq_gap[..., i] = (diff * diff).sum(axis=-1)
+        inv_min[:, i] = 1.0 / states[0].min(axis=1)
+
+    def columns(record, nodes):
+        return np.ascontiguousarray(record[..., [pos[node] for node in nodes]])
+
+    return {"dense_times": dense * grid.dt, "excursions": excursions,
+            "sq_dense": columns(sq_gap, dense), "l1_dense": columns(l1_gap, dense),
+            "sq_chk": columns(sq_gap, checkpoints), "l1_chk": columns(l1_gap, checkpoints),
+            "inv_min": columns(inv_min, checkpoints), "l1_dominance": (~(sq_gap <= l1_gap)).sum(axis=(1, 2))}
 
 
 def _rows(samples, key: str, checkpoints, bounds, allowance: float) -> tuple[list, bool]:

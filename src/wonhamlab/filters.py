@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, GridMismatchError, NonPositiveEntryError, StateCollapseError
-from .models import GeneratorMatrix, ObservationMap, validate_simplex
+from .models import GeneratorMatrix, ObservationMap, _check_sizes, validate_simplex
 from .simulate import ObservationPath, TimeGrid
 
 EULER_FLOOR = 1e-14
@@ -346,19 +346,6 @@ def _lockstep(filters, increments, dt):
         yield states.reshape(m, count, d).swapaxes(0, 1)
 
 
-def _check_sizes(generator: GeneratorMatrix, observation: ObservationMap, *vectors) -> None:
-    """Raise DimensionMismatchError unless the observation levels, and the last
-    axis of each array in ``vectors`` (starts, directions), have one entry per
-    state of ``generator``.  Every public route that takes loose model parts
-    calls it."""
-    d = len(generator.entries)
-    if len(observation.levels) != d:
-        raise DimensionMismatchError(f"{len(observation.levels)} observation levels for {d} states")
-    for x in vectors:
-        if x.shape[-1:] != (d,):
-            raise DimensionMismatchError(f"a vector of shape {x.shape} for {d} states")
-
-
 def _node_range(obs: ObservationPath, s, t) -> np.ndarray:
     """Increments of the cells between the grid nodes at s and t; needs s <= t."""
     i0, i1 = obs.grid.node(s), obs.grid.node(t)
@@ -383,6 +370,7 @@ def cell_propagators(increments, dt, generator: GeneratorMatrix, observation: Ob
     For increments of shape (..., n) returns maps of shape (..., n, d, d); the
     product over a cell range reproduces the propagator over that range.
     """
+    _check_sizes(generator, observation)
     increments = np.asarray(increments, dtype=float)
     eye = np.broadcast_to(np.eye(generator.d), increments.shape + (generator.d, generator.d))
     return propagate_cell_matrix(eye, increments, dt, *split_rate_matrix(generator.entries), observation.levels)

@@ -8,6 +8,7 @@ concurrent trial workers.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,6 +71,19 @@ class ObservationMap:
     def spread(self) -> float:
         """Largest gap between two observation levels."""
         return float(np.ptp(self.levels))
+
+
+def _check_sizes(generator: GeneratorMatrix, observation: ObservationMap | None, *vectors) -> None:
+    """Raise DimensionMismatchError unless the observation levels (when given),
+    and the last axis of each array in ``vectors`` (laws, directions), have one
+    entry per state of ``generator``.  Every public route that takes loose
+    model parts calls it."""
+    d = len(generator.entries)
+    if observation is not None and len(observation.levels) != d:
+        raise DimensionMismatchError(f"{len(observation.levels)} observation levels for {d} states")
+    for x in vectors:
+        if x.shape[-1:] != (d,):
+            raise DimensionMismatchError(f"a vector of shape {x.shape} for {d} states")
 
 
 def validate_generator(raw) -> GeneratorMatrix:
@@ -224,6 +238,7 @@ def inverse_moment_constant(initial, generator: GeneratorMatrix, observation: Ob
     smallest inflow rate, and the squared observation spread seen from state ``i``.
     """
     nu = validate_simplex(initial)
+    _check_sizes(generator, observation, nu)
     if not generator.mixing:
         raise NotMixingError("inverse-moment bound needs a mixing rate matrix")
     lam = generator.entries
@@ -294,9 +309,13 @@ def component_inverse_moment_bound(
     """Bound on ``E[(pi_t^state)^(-power)]`` under the true model.
 
     Grows like ``exp(power * exit_rate * t)`` corrected by the squared observation
-    spread seen from ``state``.
+    spread seen from ``state``.  Raises DimensionMismatchError unless ``state``
+    is the whole-number index of one of the generator's states.
     """
     nu = validate_simplex(initial)
+    _check_sizes(generator, observation, nu)
+    if isinstance(state, bool) or not isinstance(state, numbers.Integral) or not 0 <= state < generator.d:
+        raise DimensionMismatchError(f"state {state!r} of a {generator.d}-state model")
     lam = generator.entries
     h = observation.levels
     gap_sq = float(np.max((h[state] - h) ** 2))

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, GridMismatchError, NonPositiveEntryError, ObservationMismatchError
 from .filters import (
-    _check_sizes,
     _endpoint_flows,
     _scan_nodes,
     cell_propagators,
@@ -35,6 +34,7 @@ from .models import (
     GeneratorMatrix,
     ModelPair,
     ObservationMap,
+    _check_sizes,
     mixing_rate,
     observation_gap,
     validate_simplex,
@@ -174,6 +174,7 @@ def derivative_bound(mu, v, s, t, generator: GeneratorMatrix) -> float:
     """
     mu = validate_simplex(mu)
     v = validate_tangent(v)
+    _check_sizes(generator, None, mu, v)
     return float((np.abs(v) / mu).sum() * _decay(generator, s, t))
 
 
@@ -181,6 +182,7 @@ def lipschitz_bound(mu_1, mu_2, s, t, generator: GeneratorMatrix) -> float:
     """Almost-sure bound on the l1 gap between filters restarted from two laws; needs s <= t."""
     mu_1 = validate_simplex(mu_1)
     mu_2 = validate_simplex(mu_2)
+    _check_sizes(generator, None, mu_1, mu_2)
     prefactor = float(np.maximum(1.0 / mu_1, 1.0 / mu_2).max())
     return prefactor * float(np.abs(mu_2 - mu_1).sum()) * _decay(generator, s, t)
 
@@ -207,6 +209,7 @@ def second_derivative_gap_bound(mu, v, w, s, t, generator: GeneratorMatrix) -> f
     mu = validate_simplex(mu)
     v = validate_tangent(v)
     w = validate_tangent(w)
+    _check_sizes(generator, None, mu, v, w)
     plus = (np.abs(v + w) / mu).sum()
     minus = (np.abs(v - w) / mu).sum()
     return float(2.0 * plus * minus * _decay(generator, s, t))

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AbsorbingStateError, GridMismatchError
-from .models import GeneratorMatrix, ObservationMap, validate_simplex
+from .errors import AbsorbingStateError, DimensionMismatchError, GridMismatchError
+from .models import GeneratorMatrix, ObservationMap, _check_sizes, validate_simplex
 
 NODE_TOL = 1e-9
 
@@ -53,6 +54,10 @@ class TimeGrid:
         return idx
 
     def refined(self, factor: int = 2) -> "TimeGrid":
+        """The grid whose cells split each cell of this one into ``factor`` equal
+        cells, so every node of this grid is a node of it."""
+        if isinstance(factor, bool) or not isinstance(factor, numbers.Integral) or factor < 1:
+            raise GridMismatchError(f"refine factor must be a whole number >= 1, got {factor!r}")
         return TimeGrid(self.t_end, self.dt / factor)
 
 
@@ -133,6 +138,7 @@ def simulate_signal(initial, generator: GeneratorMatrix, grid: TimeGrid, seed) -
     and the path are the ones ``choice`` gives, without its per-draw checks.
     """
     nu = validate_simplex(initial, allow_boundary=True)
+    _check_sizes(generator, None, nu)
     rng = _as_generator(seed)
     lam = generator.entries
     exit_rates = -np.diag(lam)
@@ -169,8 +175,11 @@ def integrated_drift(path: SignalPath, observation: ObservationMap, grid: TimeGr
     """Exact integral of the observation level over each grid cell.
 
     The running integral is piecewise linear with breakpoints at the jump times,
-    so linear interpolation of its breakpoint values is exact.
+    so linear interpolation of its breakpoint values is exact.  Raises
+    DimensionMismatchError when a state of the path has no level.
     """
+    if not (path.states.min() >= 0 and path.states.max() < observation.d):
+        raise DimensionMismatchError(f"a path state outside the {observation.d} observation levels")
     if path.t_end < grid.t_end - NODE_TOL:
         raise GridMismatchError("signal path does not cover the grid horizon")
     breaks = np.append(path.segment_starts, path.t_end)
@@ -202,6 +211,7 @@ def simulate_increments_batch(
     Trial i draws its signal and noise streams from the i-th spawn of the master
     seed, so the batch is reproducible and independent of batch size splits.
     """
+    _check_sizes(generator, observation)
     out = np.empty((n_trials, grid.n_steps))
     for i, child in enumerate(np.random.SeedSequence(master_seed).spawn(n_trials)):
         sig_seed, noise_seed = child.spawn(2)

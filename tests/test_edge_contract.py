@@ -4,7 +4,8 @@ At the edges (up to ten states, an initial weight of 1e-300, rate matrices
 that do not mix, paths of up to about 2000 cells) every route either returns
 finite values, nonnegative where they are weights, or raises a typed
 ``WonhamLabError``.  Every route that takes loose model parts raises
-``DimensionMismatchError`` when their sizes disagree.
+``DimensionMismatchError`` when their sizes disagree or a state index is not a
+state of the model, and refining a grid needs a whole factor >= 1.
 """
 
 import math
@@ -153,3 +154,72 @@ def test_loose_parts_of_mismatched_sizes_raise_a_typed_error(part):
                 call()
         else:
             call()
+
+
+def checked_routes(p, grid):
+    """(name, call, parts it reads) for the routes that take loose parts but no
+    observation path: the three sensitivity bounds, the per-cell maps, the
+    simulation and the inverse-moment constants.  ``p`` holds the parts."""
+    path = wl.SignalPath(np.array([0.0, 0.01, 0.02]), np.array([0, 2, 1]), grid.t_end)
+    return [
+        ("derivative_bound", lambda: wl.derivative_bound(p.initial, p.direction, 0.0, 1.0, p.generator),
+         {"initial", "direction"}),
+        ("lipschitz_bound", lambda: wl.lipschitz_bound(p.initial, p.other, 0.0, 1.0, p.generator),
+         {"initial", "other"}),
+        ("second_derivative_gap_bound",
+         lambda: wl.second_derivative_gap_bound(p.initial, p.direction, p.direction[::-1], 0.0, 1.0,
+                                                p.generator),
+         {"initial", "direction"}),
+        ("cell_propagators",
+         lambda: wl.filters.cell_propagators(np.zeros(3), grid.dt, p.generator, p.levels), {"levels"}),
+        ("simulate_signal", lambda: wl.simulate_signal(p.initial, p.generator, grid, 1), {"initial"}),
+        ("simulate_increments_batch",
+         lambda: wl.simulate_increments_batch(p.initial, p.generator, p.levels, grid, 1, 50),
+         {"initial", "levels"}),
+        ("simulate_observations", lambda: wl.simulate_observations(path, p.levels, grid, 1), {"levels"}),
+        ("inverse_moment_constant",
+         lambda: wl.inverse_moment_constant(p.initial, p.generator, p.levels), {"initial", "levels"}),
+        ("component_inverse_moment_bound",
+         lambda: wl.component_inverse_moment_bound(p.initial, p.generator, p.levels, p.state, 2, 1.0),
+         {"initial", "levels", "state"}),
+    ]
+
+
+@pytest.mark.parametrize("part, odd", [
+    pytest.param("levels", wl.validate_observation([0.0, 1.0]), id="levels"),
+    pytest.param("initial", np.array([0.5, 0.5]), id="initial"),
+    pytest.param("other", np.array([0.4, 0.6]), id="other"),
+    pytest.param("direction", np.array([0.5, -0.5]), id="direction"),
+    pytest.param("state", -1, id="state-minus-1"),
+    pytest.param("state", 3, id="state-3"),
+    pytest.param("state", 1.0, id="state-float"),
+])
+def test_checked_routes_raise_a_typed_error_on_mismatched_parts(part, odd):
+    """Three-state rates with one part of a two-state model, or a state index
+    that is not a whole number in 0..2 (Python would wrap -1): each route of
+    ``checked_routes`` that reads the odd part raises DimensionMismatchError,
+    not numpy's ValueError or IndexError nor a value, and the others run."""
+    grid = wl.TimeGrid(0.05, 1e-3)
+    p = SimpleNamespace(
+        generator=wl.validate_generator([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.5, 0.5, -1.0]]),
+        levels=wl.validate_observation([0.0, 1.0, -1.0]), initial=np.array([0.2, 0.3, 0.5]),
+        other=np.array([0.3, 0.3, 0.4]), direction=np.array([0.5, -0.25, -0.25]), state=2)
+    for _, call, _ in checked_routes(p, grid):
+        call()
+    setattr(p, part, odd)
+    for _, call, reads in checked_routes(p, grid):
+        if part in reads:
+            with pytest.raises(wl.DimensionMismatchError):
+                call()
+        else:
+            call()
+
+
+@pytest.mark.parametrize("factor", [0, 1.5, 2.0, True])
+def test_refine_factor_must_be_a_whole_number(factor):
+    """Only a whole factor >= 1 gives a grid whose nodes nest in the coarse grid."""
+    grid = wl.TimeGrid(1.0, 0.01)
+    with pytest.raises(wl.GridMismatchError):
+        grid.refined(factor)
+    assert grid.refined(1) == grid
+    assert grid.refined(np.int64(3)).node(0.01) == 3

@@ -288,6 +288,36 @@ class TestForgettingExperiment:
             assert camp["excursions"] == (len(models) - 1) * int((gaps > bound[:, None]).sum()) > 0
 
 
+class TestCampaign:
+    def test_checkpoint_off_the_dense_grid(self, small_pair):
+        """A checkpoint at 0.25 is node 250, between the dense nodes 200 and
+        300.  Its columns are the lockstep stack's gaps and reciprocal smallest
+        weight at node 250, bit for bit, and every array the campaign returns
+        is C-contiguous: that layout fixes the summation order of the reports'
+        means."""
+        truth, approx = small_pair.true_model, small_pair.approx_model
+        spec = make_spec(small_pair, t_end=0.5, n_trials=100, checkpoints=(0.0, 0.25, 0.5))
+        dense = experiments._dense_nodes(spec.grid)
+        assert 250 not in dense
+        models = [truth, approx, dataclasses.replace(approx, initial=truth.initial)]
+        filters = [(m.initial, m.generator, m.observation) for m in models]
+        increments = wl.simulate_increments_batch(truth.initial, truth.generator, truth.observation,
+                                                  spec.grid, spec.master_seed, spec.n_trials)
+        stack = experiments._lockstep(filters, increments, spec.grid.dt)
+        nodes = {k: states.copy() for k, states in enumerate(stack) if k in (200, 250, 300, 500)}
+        camp = experiments._campaign(spec, models, spec.n_trials)
+        for key, col, k in [("chk", 1, 250), ("dense", 2, 200), ("dense", 3, 300), ("chk", 2, 500)]:
+            diff = nodes[k][1:] - nodes[k][0]
+            np.testing.assert_array_equal(camp[f"sq_{key}"][..., col], (diff * diff).sum(axis=-1))
+            np.testing.assert_array_equal(camp[f"l1_{key}"][..., col], np.abs(diff).sum(axis=-1))
+        np.testing.assert_array_equal(camp["inv_min"][:, 1], 1.0 / nodes[250][0].min(axis=1))
+        np.testing.assert_array_equal(camp["dense_times"], dense * spec.grid.dt)
+        assert camp["sq_chk"].shape == (2, spec.n_trials, 3)
+        assert camp["sq_dense"].shape == (2, spec.n_trials, len(dense))
+        arrays = [value for value in camp.values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 7 and all(a.flags.c_contiguous for a in arrays)
+
+
 class TestInverseMomentExperiment:
     def test_reference_model_bound(self, ref_model):
         pair = wl.ModelPair(true_model=ref_model, approx_model=ref_model)
@@ -508,10 +538,11 @@ class TestNanCountsAsViolation:
         assert not inconclusive
 
     def test_robustness_rows_and_l1_dominance(self, small_pair, monkeypatch):
-        spec = make_spec(small_pair, t_end=1.0, n_trials=100, checkpoints=(0.0, 0.5, 1.0))
+        # 0.25 is off the dense grid, so the recorded nodes are the dense nodes plus node 250.
+        spec = make_spec(small_pair, t_end=1.0, n_trials=100, checkpoints=(0.0, 0.25, 0.5, 1.0))
         poison_last_filter(monkeypatch)
         report = wl.run_robustness_experiment(spec)
-        recorded = len(set(experiments._dense_nodes(spec.grid)) | {0, 500, 1000})
+        recorded = len(set(experiments._dense_nodes(spec.grid)) | {0, 250, 500, 1000})
         assert report.supplementary["l1_dominance_violations"] == recorded
         assert all(row["violation"] for row in report.table)
         assert report.violations == len(report.table) + recorded
