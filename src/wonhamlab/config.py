@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields, replace
 import yaml
 
 from .errors import ConfigError, WonhamLabError
-from .experiments import DEFAULT_CHECKPOINTS, ExperimentSpec, _model_lists
+from .experiments import _SWEEP_COMPONENTS, DEFAULT_CHECKPOINTS, ExperimentSpec, _model_lists
 from .models import FilterModel, ModelPair
 from .simulate import TimeGrid
 
@@ -94,8 +94,7 @@ class RunConfig:
                 master_seed=_whole(experiment, "seed", 0),
                 checkpoints=tuple(float(c) for c in _listed(experiment, "checkpoints", DEFAULT_CHECKPOINTS)),
                 sweep_sizes=None if sweep is None else tuple(float(s) for s in _listed(experiment, "sweep")),
-                sweep_components=tuple(_listed(experiment, "sweep_components",
-                                               ("initial", "generator", "levels"))),
+                sweep_components=tuple(_listed(experiment, "sweep_components", _SWEEP_COMPONENTS)),
                 strict_tolerance=_flag(experiment, "strict_tolerance", False),
             )
         except WonhamLabError:

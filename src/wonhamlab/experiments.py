@@ -10,7 +10,11 @@ simulates the true model's paths once and advances every filter of the
 experiment on them as one lockstep stack, which is the worker pool here.  Each
 checkpoint row follows one rule (mean and 3-sigma half width against the bound
 plus the integrator allowance), and a run with a row straddling its bound is
-repeated once in full at four times the trials.
+repeated once in full at four times the trials.  The three escalating runners
+(robustness, forgetting, inverse-moment) name only their allowance, their
+models and a ``read`` from a campaign to report parts; ``_escalate_once`` runs
+and escalates the campaign, stamps the allowance and the escalation flag, and
+builds the report.
 """
 
 from __future__ import annotations
@@ -43,9 +47,6 @@ from .models import (
     mixing_rate,
     observation_gap,
     robustness_constants,
-    validate_generator,
-    validate_observation,
-    validate_simplex,
 )
 from .sensitivity import (
     derivative_from_flow,
@@ -69,6 +70,8 @@ BOUND_GRADE_DT = 0.01
 ALLOWANCE_FACTOR = 10.0
 DEFAULT_CHECKPOINTS = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 REFINEMENT_LADDER = (4e-3, 2e-3, 1e-3, 5e-4)
+# The model components a convergence sweep can move toward the truth.
+_SWEEP_COMPONENTS = ("initial", "generator", "levels")
 # Nodes per block of the forgetting excursion count: each node's flat stack
 # rows are copied into the block, so per-node overhead is paid once per block.
 _EXCURSION_BLOCK = 16
@@ -83,7 +86,7 @@ class ExperimentSpec:
 
     ``sweep_sizes`` rescale the approximate model toward the truth (1 keeps the
     template, 0 is the truth itself); ``sweep_components`` selects which of the
-    initial law, rate matrix and observation levels move.
+    initial law, rate matrix and observation levels move, at least one.
     """
 
     pair: ModelPair
@@ -92,7 +95,7 @@ class ExperimentSpec:
     master_seed: int
     checkpoints: tuple = DEFAULT_CHECKPOINTS
     sweep_sizes: tuple | None = None
-    sweep_components: tuple = ("initial", "generator", "levels")
+    sweep_components: tuple = _SWEEP_COMPONENTS
     strict_tolerance: bool = False
 
     def __post_init__(self):
@@ -121,9 +124,7 @@ class ExperimentSpec:
             if not (sizes and decreasing and all(0.0 < s <= 1.0 for s in sizes)):
                 raise ConfigError("sweep sizes must be nonempty, decreasing and lie in (0, 1]")
             object.__setattr__(self, "sweep_sizes", sizes)
-        unknown = set(self.sweep_components) - {"initial", "generator", "levels"}
-        if unknown:
-            raise ConfigError(f"unknown sweep components: {sorted(unknown)}")
+        _check_components(self.sweep_components)
         if self.grid.dt > BOUND_GRADE_DT:
             warnings.warn(
                 f"dt={self.grid.dt} exceeds the bound-verification step {BOUND_GRADE_DT}; "
@@ -199,24 +200,25 @@ def _report(experiment: str, spec: ExperimentSpec, n_trials: int, **parts) -> Ex
                             config=spec_to_mapping(spec), **parts)
 
 
-def interpolate_pair(pair: ModelPair, size: float, components=("initial", "generator", "levels")) -> ModelPair:
-    """Shrink the approximate model toward the truth by the given factor."""
-    truth, approx = pair.true_model, pair.approx_model
-    initial = truth.initial
-    if "initial" in components:
-        initial = truth.initial + size * (approx.initial - truth.initial)
-    gen = truth.generator
-    if "generator" in components:
-        gen = validate_generator(
-            truth.generator.entries + size * (approx.generator.entries - truth.generator.entries)
-        )
-    levels = truth.observation
-    if "levels" in components:
-        levels = validate_observation(
-            truth.observation.levels + size * (approx.observation.levels - truth.observation.levels)
-        )
-    moved = FilterModel(initial=validate_simplex(initial), generator=gen, observation=levels)
-    return ModelPair(true_model=truth, approx_model=moved)
+def _check_components(components) -> None:
+    """Raise ConfigError unless ``components`` names one or more sweep components."""
+    # Compared, not hashed or sorted: a YAML list may hold a list or a number.
+    unknown = [c for c in components if c not in _SWEEP_COMPONENTS]
+    if unknown or not components:
+        raise ConfigError(f"unknown sweep components: {unknown}" if unknown
+                          else f"sweep components must name one or more of {list(_SWEEP_COMPONENTS)}")
+
+
+def interpolate_pair(pair: ModelPair, size: float, components=_SWEEP_COMPONENTS) -> ModelPair:
+    """Move the named components of the truth toward the approximate model:
+    each becomes ``t + size * (a - t)``, and the others stay the truth's.
+    Raises ConfigError unless ``components`` names one or more of the initial
+    law, the rate matrix and the levels ("initial", "generator", "levels")."""
+    _check_components(components)
+    approx = _model_lists(pair.approx_model)
+    moved = {name: np.asarray(t) + size * (np.asarray(approx[name]) - t) if name in components else t
+             for name, t in _model_lists(pair.true_model).items()}
+    return ModelPair(true_model=pair.true_model, approx_model=FilterModel.from_raw(**moved))
 
 
 def measure_integrator_tolerance(model: FilterModel, grid: TimeGrid, master_seed: int) -> float:
@@ -338,24 +340,28 @@ def _rows(samples, key: str, checkpoints, bounds, allowance: float) -> tuple[lis
     return rows, inconclusive
 
 
-def _escalate_once(spec: ExperimentSpec, models, rule, excursion_bound=None):
-    """Run the campaign of ``models`` at the spec's trial count and apply
-    ``rule`` (campaign -> result, inconclusive); if inconclusive, re-run both
-    once in full at four times the trials.  Returns the result, its campaign
-    and trial count, and whether the run escalated.
+def _escalate_once(name: str, spec: ExperimentSpec, models, allowance: float, read,
+                   excursion_bound=None) -> ExperimentReport:
+    """Run the campaign of ``models`` at the spec's trial count and ``read`` it
+    (campaign -> report parts, inconclusive); if inconclusive, re-run both once
+    in full at four times the trials.  The parts are the constants, table,
+    supplementary and violations of ``_report``; the allowance is added to the
+    constants and whether the run escalated to the supplementary.
     """
     for n in (spec.n_trials, 4 * spec.n_trials):
-        camp = _campaign(spec, models, n, excursion_bound)
-        result, inconclusive = rule(camp)
+        parts, inconclusive = read(_campaign(spec, models, n, excursion_bound))
         if not inconclusive:
             break
-    return result, camp, n, n > spec.n_trials
+    parts["constants"]["allowance"] = allowance
+    parts["supplementary"]["escalated"] = n > spec.n_trials
+    return _report(name, spec, n, **parts)
 
 
 def _robustness_entries(spec: ExperimentSpec, camp: dict, approx_models, allowance: float):
     """Robustness report parts of each approximate model, run in ``camp`` after
-    the truth: constants with the bound, checkpoint rows, and the
-    supremum-over-time estimate.  Also returns whether any row is inconclusive."""
+    the truth: constants with the bound, checkpoint rows as the table, the
+    supremum-over-time estimate, and the violations (rows plus l1 dominance).
+    Also returns whether any row is inconclusive."""
     truth = spec.pair.true_model
     entries = []
     inconclusive = False
@@ -371,7 +377,7 @@ def _robustness_entries(spec: ExperimentSpec, camp: dict, approx_models, allowan
         dense_mean = camp["sq_dense"][f].mean(axis=0)
         sup = int(np.argmax(dense_mean))
         entries.append({
-            "rows": rows,
+            "table": rows,
             "constants": {"c1": c.c1, "c2": c.c2, "c3": c.c3, "gap_initial": gap_initial,
                           "gap_levels": gap_levels, "gap_rates": gap_rates, "bound": bound},
             "supplementary": {
@@ -382,6 +388,7 @@ def _robustness_entries(spec: ExperimentSpec, camp: dict, approx_models, allowan
                 "dense_curve": {"time": camp["dense_times"], "mean_sq_error": dense_mean},
                 "l1_dominance_violations": int(camp["l1_dominance"][f]),
             },
+            "violations": sum(r["violation"] for r in rows) + int(camp["l1_dominance"][f]),
         })
     return entries, inconclusive
 
@@ -398,27 +405,18 @@ def run_robustness_experiment(spec: ExperimentSpec) -> ExperimentReport:
     spec.pair.require_mixing()
     allowance = _allowance(spec)
     truth, approx = spec.pair.true_model, spec.pair.approx_model
-    (core,), camp, n, escalated = _escalate_once(
-        spec, [truth, approx], lambda camp: _robustness_entries(spec, camp, [approx], allowance)
-    )
-    inverse_moment = []
-    for i, c in enumerate(spec.checkpoints):
-        mean, hw = _stats(camp["inv_min"][:, i])
-        inverse_moment.append({"time": float(c), "mean": mean, "half_width": hw})
-    violations = sum(r["violation"] for r in core["rows"]) + core["supplementary"]["l1_dominance_violations"]
-    return _report(
-        "robustness", spec, n,
-        constants={**core["constants"], "beta": mixing_rate(approx.generator), "allowance": allowance},
-        table=core["rows"],
-        supplementary={
-            **core["supplementary"],
-            "inverse_moment": inverse_moment,
-            "inverse_moment_constant": inverse_moment_constant(truth.initial, truth.generator,
-                                                               truth.observation),
-            "escalated": escalated,
-        },
-        violations=violations,
-    )
+
+    def read(camp):
+        (core,), inconclusive = _robustness_entries(spec, camp, [approx], allowance)
+        core["constants"]["beta"] = mixing_rate(approx.generator)
+        core["supplementary"].update(
+            inverse_moment=[{"time": float(c), "mean": mean, "half_width": hw}
+                            for c, (mean, hw) in zip(spec.checkpoints, map(_stats, camp["inv_min"].T))],
+            inverse_moment_constant=inverse_moment_constant(truth.initial, truth.generator, truth.observation),
+        )
+        return core, inconclusive
+
+    return _escalate_once("robustness", spec, [truth, approx], allowance, read)
 
 
 def run_forgetting_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -436,38 +434,34 @@ def run_forgetting_experiment(spec: ExperimentSpec) -> ExperimentReport:
     prefactor = lipschitz_bound(mu_1, mu_2, 0.0, 0.0, approx.generator)
     node_bounds = np.array([prefactor * math.exp(-beta * t) + allowance for t in spec.grid.times])
     chk_bounds = [prefactor * math.exp(-beta * c) for c in spec.checkpoints]
-    models = [replace(approx, initial=mu_1), approx]
 
-    rows, camp, n, escalated = _escalate_once(
-        spec, models,
-        lambda camp: _rows(camp["l1_chk"][0], "mean_gap", spec.checkpoints, chk_bounds, allowance),
-        node_bounds,
-    )
-    mean_curve = camp["l1_dense"][0].mean(axis=0)
-    dense_times = camp["dense_times"]
-    span = (dense_times >= 2.0) & (dense_times <= 10.0)
-    window = span & (mean_curve > 0.0)
-    fits = prefactor > 0.0 and int(window.sum()) >= 2
-    if fits:
-        fitted_rate = float(np.polyfit(dense_times[window], np.log(mean_curve[window]), 1)[0])
-    else:
-        fitted_rate = float("nan")
-    # No fit passes only for want of a gap to fit; a non-finite mean gap fails.
-    rate_ok = bool(np.all(np.isfinite(mean_curve[span]))) and (not fits or fitted_rate <= -beta + 0.1)
-    violations = sum(r["violation"] for r in rows) + camp["excursions"] + (0 if rate_ok else 1)
-    return _report(
-        "forgetting", spec, n,
-        constants={"beta": beta, "prefactor": prefactor, "allowance": allowance},
-        table=rows,
-        supplementary={
-            "fitted_rate": fitted_rate,
-            "rate_within_bound": bool(rate_ok),
-            "pathwise_violations": camp["excursions"],
-            "decay_curve": {"time": dense_times, "mean_gap": mean_curve},
-            "escalated": escalated,
-        },
-        violations=violations,
-    )
+    def read(camp):
+        rows, inconclusive = _rows(camp["l1_chk"][0], "mean_gap", spec.checkpoints, chk_bounds, allowance)
+        mean_curve = camp["l1_dense"][0].mean(axis=0)
+        dense_times = camp["dense_times"]
+        span = (dense_times >= 2.0) & (dense_times <= 10.0)
+        window = span & (mean_curve > 0.0)
+        fits = prefactor > 0.0 and int(window.sum()) >= 2
+        if fits:
+            fitted_rate = float(np.polyfit(dense_times[window], np.log(mean_curve[window]), 1)[0])
+        else:
+            fitted_rate = float("nan")
+        # No fit passes only for want of a gap to fit; a non-finite mean gap fails.
+        rate_ok = bool(np.all(np.isfinite(mean_curve[span]))) and (not fits or fitted_rate <= -beta + 0.1)
+        return {
+            "constants": {"beta": beta, "prefactor": prefactor},
+            "table": rows,
+            "supplementary": {
+                "fitted_rate": fitted_rate,
+                "rate_within_bound": bool(rate_ok),
+                "pathwise_violations": camp["excursions"],
+                "decay_curve": {"time": dense_times, "mean_gap": mean_curve},
+            },
+            "violations": sum(r["violation"] for r in rows) + camp["excursions"] + (0 if rate_ok else 1),
+        }, inconclusive
+
+    return _escalate_once("forgetting", spec, [replace(approx, initial=mu_1), approx], allowance, read,
+                          node_bounds)
 
 
 def run_inverse_moment_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -475,33 +469,32 @@ def run_inverse_moment_experiment(spec: ExperimentSpec) -> ExperimentReport:
     truth = spec.pair.true_model
     analytic = inverse_moment_constant(truth.initial, truth.generator, truth.observation)
     allowance = _allowance(spec)
-    rows, _, n, escalated = _escalate_once(
-        spec, [truth],
-        lambda camp: _rows(camp["inv_min"], "mean", spec.checkpoints,
-                           [analytic] * len(spec.checkpoints), allowance),
-    )
-    peak = float(np.max([r["mean"] for r in rows]))
-    late = {r["time"]: r for r in rows}
-    stationarity = None
-    if 10.0 in late and 20.0 in late:
-        drift = abs(late[20.0]["mean"] - late[10.0]["mean"])
-        stationarity = {
-            "drift": drift,
-            "within_noise": bool(drift <= 2.0 * (late[10.0]["half_width"] + late[20.0]["half_width"])),
-        }
-    return _report(
-        "inverse-moment", spec, n,
-        constants={"bound": analytic, "allowance": allowance},
-        table=rows,
-        supplementary={
-            "peak_estimate": peak,
-            "slack_ratio": analytic / max(peak, 1e-300),
-            "initial_exact": float(1.0 / truth.initial.min()),
-            "stationarity": stationarity,
-            "escalated": escalated,
-        },
-        violations=sum(r["violation"] for r in rows),
-    )
+
+    def read(camp):
+        rows, inconclusive = _rows(camp["inv_min"], "mean", spec.checkpoints,
+                                   [analytic] * len(spec.checkpoints), allowance)
+        peak = float(np.max([r["mean"] for r in rows]))
+        late = {r["time"]: r for r in rows}
+        stationarity = None
+        if 10.0 in late and 20.0 in late:
+            drift = abs(late[20.0]["mean"] - late[10.0]["mean"])
+            stationarity = {
+                "drift": drift,
+                "within_noise": bool(drift <= 2.0 * (late[10.0]["half_width"] + late[20.0]["half_width"])),
+            }
+        return {
+            "constants": {"bound": analytic},
+            "table": rows,
+            "supplementary": {
+                "peak_estimate": peak,
+                "slack_ratio": analytic / max(peak, 1e-300),
+                "initial_exact": float(1.0 / truth.initial.min()),
+                "stationarity": stationarity,
+            },
+            "violations": sum(r["violation"] for r in rows),
+        }, inconclusive
+
+    return _escalate_once("inverse-moment", spec, [truth], allowance, read)
 
 
 def run_convergence_sweep(spec: ExperimentSpec) -> ExperimentReport:
@@ -521,15 +514,11 @@ def run_convergence_sweep(spec: ExperimentSpec) -> ExperimentReport:
     models = [interpolate_pair(spec.pair, size, spec.sweep_components).approx_model for size in sizes]
     camp = _campaign(spec, [spec.pair.true_model, *models], spec.n_trials)
     cores, _ = _robustness_entries(spec, camp, models, allowance)
-    entries = []
-    violations = 0
-    for size, core in zip(sizes, cores):
-        sup = core["supplementary"]
-        checkpoint_violations = sum(r["violation"] for r in core["rows"])
-        violations += checkpoint_violations + sup["l1_dominance_violations"]
-        entries.append({"size": float(size), "sup_error": sup["sup_estimate"],
-                        "half_width": sup["sup_half_width"], "bound": core["constants"]["bound"],
-                        "checkpoint_violations": checkpoint_violations})
+    violations = sum(core["violations"] for core in cores)
+    entries = [{"size": float(size), "sup_error": core["supplementary"]["sup_estimate"],
+                "half_width": core["supplementary"]["sup_half_width"], "bound": core["constants"]["bound"],
+                "checkpoint_violations": sum(r["violation"] for r in core["table"])}
+               for size, core in zip(sizes, cores)]
 
     floor = entries[0]["sup_error"]
     ordered = entries[1:]  # sweep sizes are validated decreasing

@@ -240,7 +240,9 @@ class TestCliRun:
     @pytest.mark.parametrize("experiment, source, flags", [
         ("forgetting", GOOD_CONFIG, ["--seed", "-1"]),
         ("convergence-sweep", with_experiment_field("sweep", "[]"), []),
-    ], ids=["negative-seed", "empty-sweep"])
+        ("convergence-sweep", GOOD_CONFIG + "  sweep: [0.2, 0.1]\n  sweep_components: []\n", []),
+        ("convergence-sweep", GOOD_CONFIG + "  sweep: [0.2, 0.1]\n  sweep_components: [[initial]]\n", []),
+    ], ids=["negative-seed", "empty-sweep", "no-sweep-components", "nested-sweep-components"])
     def test_unusable_seed_or_sweep_exits_one(self, tmp_path, capsys, experiment, source, flags):
         path = tmp_path / "edge.yaml"
         path.write_text(source)

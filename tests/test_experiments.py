@@ -110,19 +110,35 @@ class TestExperimentSpec:
 
 
 class TestInterpolatePair:
+    # Exact equality: the campaign shares a filter between two models only when
+    # their arrays are equal byte for byte.
+    @staticmethod
+    def parts(model):
+        return model.initial, model.generator.entries, model.observation.levels
+
     def test_zero_size_recovers_truth(self, small_pair):
         flat = wl.interpolate_pair(small_pair, 0.0)
-        assert flat.approx_model.initial == pytest.approx(small_pair.true_model.initial)
-        assert flat.approx_model.generator.entries == pytest.approx(
-            small_pair.true_model.generator.entries
-        )
+        for got, want in zip(self.parts(flat.approx_model), self.parts(small_pair.true_model)):
+            assert np.array_equal(got, want)
 
     def test_partial_components(self, small_pair):
         moved = wl.interpolate_pair(small_pair, 1.0, components=("initial",))
-        assert moved.approx_model.initial == pytest.approx(small_pair.approx_model.initial)
-        assert moved.approx_model.generator.entries == pytest.approx(
-            small_pair.true_model.generator.entries
-        )
+        got, truth, approx = (self.parts(m) for m in (moved.approx_model, small_pair.true_model,
+                                                      small_pair.approx_model))
+        assert np.array_equal(got[0], approx[0])
+        assert np.array_equal(got[1], truth[1])
+        assert np.array_equal(got[2], truth[2])
+
+    @pytest.mark.parametrize("components", [(), ("rates",), ("initial", "rates"), (["initial"],),
+                                            (1, "noise")])
+    def test_rejects_unknown_or_no_components(self, small_pair, components):
+        # Unchecked, no component or an unknown name left the approximate model
+        # the truth, so the sweep compared the truth with itself and could not fail;
+        # a nested list or a mixed list raised an untyped TypeError.
+        with pytest.raises(wl.ConfigError, match="sweep components"):
+            wl.interpolate_pair(small_pair, 0.5, components)
+        with pytest.raises(wl.ConfigError, match="sweep components"):
+            make_spec(small_pair, sweep_sizes=(0.2, 0.1), sweep_components=components)
 
     def test_interpolants_remain_mixing(self, small_pair):
         for size in (0.25, 0.5, 0.75):
