@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -58,6 +57,7 @@ from .sensitivity import (
 from .simulate import (
     TimeGrid,
     _as_generator,
+    _check_whole,
     simulate_increments_batch,
     simulate_observations,
     simulate_signal,
@@ -100,9 +100,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for name in ("n_trials", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-                raise ConfigError(f"{name} must be a nonnegative whole number, got {value!r}")
+            _check_whole(name, getattr(self, name))
         if not isinstance(self.strict_tolerance, (bool, np.bool_)):
             raise ConfigError(f"strict_tolerance must be a bool, got {self.strict_tolerance!r}")
         if self.n_trials < MIN_TRIALS:
@@ -298,10 +296,10 @@ def _campaign(spec: ExperimentSpec, models, n_trials: int, excursion_bound=None)
     d = spec.pair.d
     if excursion_bound is not None:
         block = np.empty((_EXCURSION_BLOCK, n_trials, len(row_of) * d))
-    for k, states in enumerate(_lockstep(filters, increments, grid.dt)):
+    for k, flat in enumerate(_lockstep(filters, increments, grid.dt)):
         if excursion_bound is not None:
             b = k % _EXCURSION_BLOCK
-            block[b] = states.swapaxes(0, 1).reshape(n_trials, -1)  # the stack's flat rows, a view
+            block[b] = flat
             if b == _EXCURSION_BLOCK - 1 or k == grid.n_steps:
                 nodes = block[:b + 1].reshape(b + 1, n_trials, -1, d)
                 l1 = np.abs(nodes[..., later, :] - nodes[..., :1, :]).sum(axis=-1)
@@ -310,6 +308,7 @@ def _campaign(spec: ExperimentSpec, models, n_trials: int, excursion_bound=None)
         i = pos.get(k)
         if i is None:
             continue
+        states = flat.reshape(n_trials, -1, d).swapaxes(0, 1)
         diff = states[later] - states[0]
         l1_gap[..., i] = np.abs(diff).sum(axis=-1)
         sq_gap[..., i] = (diff * diff).sum(axis=-1)
@@ -647,9 +646,9 @@ def run_integrator_refinement(spec: ExperimentSpec) -> ExperimentReport:
     )
 
     def gauge_end(inc, dt):
-        for vals in _lockstep([(truth.initial, truth.generator, truth.observation)], inc, dt):
+        for rows in _lockstep([(truth.initial, truth.generator, truth.observation)], inc, dt):
             pass
-        return vals[0]
+        return rows
 
     reference = gauge_end(increments, dt_ref)
     table = []

@@ -35,16 +35,17 @@ the diagonal rates and levels concatenated, the F off-diagonal blocks on the
 diagonal of one (F * d, F * d) matrix.  Each RK4 stage is then one 2-D matrix
 product over the paths, and each node renormalizes every block by one product
 with the block-diagonal matrix of ones.  The exact zeros off the blocks add
-nothing to any sum.  Both batch loops take their gauge factors from
-``_cell_factors``: a block of cells at once, with the (row, state) pairs on
-numpy's innermost axis, each cell's kernel call handed its own contiguous
-slices.  The factors are elementwise, so no value moves.  Every route checks
-its exponents against the double range before any exp: an overflow is a
-StateCollapseError, not a NaN.  One splitter, ``split_rate_matrix``, lays out
-every route's rate matrix ``t_off``, once per loop, as the transpose of a
-C-ordered array, so the row form ``t_off.T`` that each RK4 stage multiplies by
-is contiguous and BLAS runs its plain kernel, not the slower transposed one
-(the two round some sums apart).
+nothing to any sum.  It yields its flat rows (m, F * d) as they are; callers
+reshape them to (m, F, d) only at the nodes they read.  Both batch loops take
+their gauge factors from ``_cell_factors``: a block of cells at once, with the
+(row, state) pairs on numpy's innermost axis, each cell's kernel call handed
+its own contiguous slices.  The factors are elementwise, so no value moves.
+Every route checks its exponents against the double range before any exp: an
+overflow is a StateCollapseError, not a NaN.  One splitter,
+``split_rate_matrix``, lays out every route's rate matrix ``t_off``, once per
+loop, as the transpose of a C-ordered array, so the row form ``t_off.T`` that
+each RK4 stage multiplies by is contiguous and BLAS runs its plain kernel, not
+the slower transposed one (the two round some sums apart).
 
 Two routes solve the nonlinear, normalized equation instead.  The projected
 route (``projected_filter_trajectory``) takes one RK4 step of its Wong-Zakai
@@ -327,7 +328,7 @@ def _lockstep(filters, increments, dt):
     The F models do not couple, so the stack is one model with F * d states and
     a block-diagonal rate matrix, advanced as rows (m, F * d); each block is
     renormalized by its own mass, with one product by the block-diagonal ones.
-    Yields the stack (F, m, d) at node 0 and after every cell, at unit mass.
+    Yields those rows at node 0 and after every cell; ``reshape(m, F, d)`` views the stack.
     """
     initials, generators, observations = zip(*filters)
     count, d = len(generators), generators[0].d
@@ -339,11 +340,11 @@ def _lockstep(filters, increments, dt):
     block_ones = np.kron(np.eye(count), np.ones((d, d)))
     m = increments.shape[0]
     states = np.tile(np.concatenate(initials).astype(float), (m, 1))
-    yield states.reshape(m, count, d).swapaxes(0, 1)
+    yield states
     for factors in _cell_factors(increments, dt, s_diag, levels):
         states = propagate_cell(states, dt, t_off, factors)
         states /= np.dot(states, block_ones)
-        yield states.reshape(m, count, d).swapaxes(0, 1)
+        yield states
 
 
 def _node_range(obs: ObservationPath, s, t) -> np.ndarray:

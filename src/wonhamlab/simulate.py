@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AbsorbingStateError, DimensionMismatchError, GridMismatchError
+from .errors import AbsorbingStateError, ConfigError, DimensionMismatchError, GridMismatchError
 from .models import GeneratorMatrix, ObservationMap, _check_sizes, validate_simplex
 
 NODE_TOL = 1e-9
@@ -82,7 +82,12 @@ class SignalPath:
         return self.segment_starts[1:]
 
     def state_at(self, t) -> np.ndarray:
-        idx = np.searchsorted(self.segment_starts, np.asarray(t), side="right") - 1
+        """The state at each time of ``t``, which must lie in [0, t_end] (up to
+        ``NODE_TOL`` past ``t_end``); raises GridMismatchError otherwise."""
+        t = np.asarray(t)
+        if not np.all((t >= 0.0) & (t <= self.t_end + NODE_TOL)):
+            raise GridMismatchError(f"state_at needs times in [0, t_end={self.t_end}]")
+        idx = np.searchsorted(self.segment_starts, t, side="right") - 1
         return self.states[idx]
 
     def occupation_times(self, d: int) -> np.ndarray:
@@ -125,67 +130,79 @@ def _cumulative_law(p) -> np.ndarray:
     return cdf
 
 
+def _check_whole(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is a nonnegative whole number other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigError(f"{name} must be a nonnegative whole number, got {value!r}")
+
+
+def _path_sampler(initial, generator: GeneratorMatrix, t_end: float):
+    """Check ``initial`` and build the exit rates and cumulative jump laws once;
+    ``sample(rng)`` draws one path on [0, t_end) as lists of segment starts and
+    states.  Each state is ``cdf.searchsorted(rng.random(), side="right")``, as
+    ``Generator.choice(d, p=p)`` draws it after validating ``p``: the stream and
+    the path are ``choice``'s, without its per-draw checks."""
+    nu = validate_simplex(initial, allow_boundary=True)
+    _check_sizes(generator, None, nu)
+    lam = generator.entries
+    exit_rates = -np.diag(lam)
+    jump_cdfs = [None] * generator.d
+    for i in np.flatnonzero(exit_rates > 0.0):
+        jump_probs = lam[i] / exit_rates[i]
+        jump_probs[i] = 0.0
+        jump_cdfs[i] = _cumulative_law(jump_probs)
+    start_cdf = _cumulative_law(nu)
+
+    def sample(rng: np.random.Generator) -> tuple[list, list]:
+        state = int(start_cdf.searchsorted(rng.random(), side="right"))
+        t, starts, states = 0.0, [0.0], [state]
+        while True:
+            exit_rate = exit_rates[state]
+            if exit_rate <= 0.0:
+                if generator.mixing:
+                    raise AbsorbingStateError(f"state {state} has zero exit rate in a mixing model")
+                break
+            t += rng.exponential(1.0 / exit_rate)
+            if t >= t_end:
+                break
+            state = int(jump_cdfs[state].searchsorted(rng.random(), side="right"))
+            starts.append(t)
+            states.append(state)
+        return starts, states
+
+    return sample
+
+
 def simulate_signal(initial, generator: GeneratorMatrix, grid: TimeGrid, seed) -> SignalPath:
     """Sample one chain trajectory on [0, t_end].
 
     The initial state follows ``initial``; holding times are exponential with the
     state's exit rate and the embedded jump chain follows the normalized
     off-diagonal rates.  Deterministic given the seed.
-
-    Each state's cumulative jump law is built once per call, and every state is
-    drawn as ``cdf.searchsorted(rng.random(), side="right")``, which is what
-    ``Generator.choice(d, p=p)`` does after validating ``p``: the random stream
-    and the path are the ones ``choice`` gives, without its per-draw checks.
     """
-    nu = validate_simplex(initial, allow_boundary=True)
-    _check_sizes(generator, None, nu)
-    rng = _as_generator(seed)
-    lam = generator.entries
-    exit_rates = -np.diag(lam)
-    jump_cdfs = [None] * generator.d
-    for i in np.flatnonzero(exit_rates > 0.0):
-        jump_probs = lam[i].copy()
-        jump_probs[i] = 0.0
-        jump_probs /= exit_rates[i]
-        jump_cdfs[i] = _cumulative_law(jump_probs)
-    state = int(_cumulative_law(nu).searchsorted(rng.random(), side="right"))
-    t = 0.0
-    starts = [0.0]
-    states = [state]
-    while True:
-        exit_rate = exit_rates[state]
-        if exit_rate <= 0.0:
-            if generator.mixing:
-                raise AbsorbingStateError(f"state {state} has zero exit rate in a mixing model")
-            break
-        t += rng.exponential(1.0 / exit_rate)
-        if t >= grid.t_end:
-            break
-        state = int(jump_cdfs[state].searchsorted(rng.random(), side="right"))
-        starts.append(t)
-        states.append(state)
-    return SignalPath(
-        segment_starts=np.asarray(starts),
-        states=np.asarray(states, dtype=np.int64),
-        t_end=grid.t_end,
-    )
+    starts, states = _path_sampler(initial, generator, grid.t_end)(_as_generator(seed))
+    return SignalPath(np.asarray(starts), np.asarray(states, dtype=np.int64), grid.t_end)
+
+
+def _cell_drift(starts, states, t_end, levels, times) -> np.ndarray:
+    # The running integral of the level is piecewise linear with breakpoints at
+    # the jump times, so linear interpolation of its breakpoint values is exact.
+    breaks = np.append(starts, t_end)
+    cumulative = np.zeros(breaks.shape[0])
+    cumulative[1:] = np.cumsum(levels[states] * np.diff(breaks))
+    return np.diff(np.interp(times, breaks, cumulative))
 
 
 def integrated_drift(path: SignalPath, observation: ObservationMap, grid: TimeGrid) -> np.ndarray:
     """Exact integral of the observation level over each grid cell.
 
-    The running integral is piecewise linear with breakpoints at the jump times,
-    so linear interpolation of its breakpoint values is exact.  Raises
-    DimensionMismatchError when a state of the path has no level.
+    Raises DimensionMismatchError when a state of the path has no level.
     """
     if not (path.states.min() >= 0 and path.states.max() < observation.d):
         raise DimensionMismatchError(f"a path state outside the {observation.d} observation levels")
     if path.t_end < grid.t_end - NODE_TOL:
         raise GridMismatchError("signal path does not cover the grid horizon")
-    breaks = np.append(path.segment_starts, path.t_end)
-    cumulative = np.zeros(breaks.shape[0])
-    cumulative[1:] = np.cumsum(observation.levels[path.states] * np.diff(breaks))
-    return np.diff(np.interp(grid.times, breaks, cumulative))
+    return _cell_drift(path.segment_starts, path.states, path.t_end, observation.levels, grid.times)
 
 
 def simulate_observations(
@@ -209,15 +226,24 @@ def simulate_increments_batch(
     """Observation increments for n_trials independent paths, shape (n_trials, n_steps).
 
     Trial i draws its signal and noise streams from the i-th spawn of the master
-    seed, so the batch is reproducible and independent of batch size splits.
+    seed, so the batch is reproducible and independent of batch size splits.  Its
+    row is ``simulate_observations(simulate_signal(...))`` on them, bit for bit.
+    Raises ConfigError unless the seed and the trial count are whole numbers >= 0.
     """
+    _check_whole("master_seed", master_seed)
+    _check_whole("n_trials", n_trials)
     _check_sizes(generator, observation)
+    sample = _path_sampler(initial, generator, grid.t_end)
+    times, scale = grid.times, np.sqrt(grid.dt)
     out = np.empty((n_trials, grid.n_steps))
-    for i, child in enumerate(np.random.SeedSequence(master_seed).spawn(n_trials)):
+    for row, child in zip(out, np.random.SeedSequence(master_seed).spawn(n_trials)):
         sig_seed, noise_seed = child.spawn(2)
-        path = simulate_signal(initial, generator, grid, np.random.Generator(np.random.Philox(sig_seed)))
-        obs = simulate_observations(path, observation, grid, np.random.Generator(np.random.Philox(noise_seed)))
-        out[i] = obs.increments
+        starts, states = sample(np.random.Generator(np.random.Philox(sig_seed)))
+        np.random.Generator(np.random.Philox(noise_seed)).standard_normal(out=row)
+        row *= scale
+        row += _cell_drift(starts, states, grid.t_end, observation.levels, times)
+        if not np.all(np.isfinite(row)):
+            raise GridMismatchError("non-finite observation increment")
     return out
 
 

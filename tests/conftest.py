@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wonhamlab as wl
-from wonhamlab.filters import _gauge_factors, propagate_cell, propagate_cell_matrix, split_rate_matrix
+from wonhamlab.filters import _gauge_factors, _lockstep, propagate_cell, propagate_cell_matrix, split_rate_matrix
 
 # The hypothesis plugin imports this module when it reports a failing example,
 # and it imports libcst, which raises a DeprecationWarning.  Under -W error that
@@ -78,3 +78,10 @@ def batch_flows(model, increments, dt):
 def gauge_cell(values, d_y, dt, s_diag, t_off, levels):
     """One cell kernel call on the gauge factors ``_gauge_factors`` gives for ``d_y``."""
     return propagate_cell(values, dt, t_off, _gauge_factors(d_y, dt, s_diag, levels))
+
+
+def lockstep_stacks(filters, increments, dt):
+    """``_lockstep``'s flat rows (m, F * d) at every node, viewed as the stack (F, m, d)."""
+    d = filters[0][1].d
+    for rows in _lockstep(filters, increments, dt):
+        yield rows.reshape(len(rows), -1, d).swapaxes(0, 1)

@@ -7,6 +7,7 @@ import pytest
 
 import wonhamlab as wl
 import wonhamlab.experiments as experiments
+from conftest import lockstep_stacks
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +297,7 @@ class TestForgettingExperiment:
         increments = wl.simulate_increments_batch(truth.initial, truth.generator, truth.observation,
                                                   spec.grid, spec.master_seed, spec.n_trials)
         gaps = np.array([np.abs(states[1] - states[0]).sum(axis=-1)
-                         for states in experiments._lockstep(filters, increments, spec.grid.dt)])
+                         for states in lockstep_stacks(filters, increments, spec.grid.dt)])
         exact = np.sort(gaps, axis=1)[:, spec.n_trials // 2]
         # bounds near each node's median gap, so about half the pairs exceed them
         for bound in (np.median(gaps, axis=1), exact, np.nextafter(exact, -np.inf)):
@@ -319,7 +320,7 @@ class TestCampaign:
         filters = [(m.initial, m.generator, m.observation) for m in models]
         increments = wl.simulate_increments_batch(truth.initial, truth.generator, truth.observation,
                                                   spec.grid, spec.master_seed, spec.n_trials)
-        stack = experiments._lockstep(filters, increments, spec.grid.dt)
+        stack = lockstep_stacks(filters, increments, spec.grid.dt)
         nodes = {k: states.copy() for k, states in enumerate(stack) if k in (200, 250, 300, 500)}
         camp = experiments._campaign(spec, models, spec.n_trials)
         for key, col, k in [("chk", 1, 250), ("dense", 2, 200), ("dense", 3, 300), ("chk", 2, 500)]:
@@ -482,9 +483,9 @@ class TestIntegratorRefinement:
         real = experiments._lockstep
 
         def recorded(filters, increments, dt):
-            for stack in real(filters, increments, dt):
-                yield stack
-            runs.append((increments.copy(), dt, stack[0].copy()))
+            for rows in real(filters, increments, dt):
+                yield rows
+            runs.append((increments.copy(), dt, rows.copy()))
 
         monkeypatch.setattr(experiments, "_lockstep", recorded)
         report = wl.run_integrator_refinement(spec)
@@ -493,7 +494,7 @@ class TestIntegratorRefinement:
         def end(increments, dt):
             *_, last = experiments._lockstep([(truth.initial, truth.generator, truth.observation)],
                                              increments, dt)
-            return last[0]
+            return last
 
         m = spec.n_trials
         fine = wl.simulate_increments_batch(truth.initial, truth.generator, truth.observation,
@@ -527,10 +528,11 @@ def poison_last_filter(monkeypatch, trial=0):
     real = experiments._lockstep
 
     def poisoned(filters, increments, dt):
-        for states in real(filters, increments, dt):
-            states = states.copy()
-            states[-1, trial] = np.nan
-            yield states
+        d = filters[0][1].d
+        for rows in real(filters, increments, dt):
+            rows = rows.copy()
+            rows[trial, -d:] = np.nan
+            yield rows
 
     monkeypatch.setattr(experiments, "_lockstep", poisoned)
 

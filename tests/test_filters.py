@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import wonhamlab as wl
-from conftest import gauge_cell
+from conftest import gauge_cell, lockstep_stacks
 from wonhamlab.filters import (
     _GAUGE_BLOCK,
     _SCAN_BLOCK,
@@ -735,7 +735,7 @@ class TestCellKernels:
         models = [random_model(rng, d, mixing[f]) for f in range(n_filters)]
         increments = rng.normal(0.0, math.sqrt(dt), size=(width, n))
         yielded = [(stack, stack.copy()) for stack in
-                   _lockstep([(m.initial, m.generator, m.observation) for m in models], increments, dt)]
+                   lockstep_stacks([(m.initial, m.generator, m.observation) for m in models], increments, dt)]
         assert len(yielded) == n + 1
         for i, model in enumerate(models):
             state = np.broadcast_to(model.initial, (width, d))
@@ -779,13 +779,12 @@ def per_cell_lockstep(filters, increments, dt, c_ordered_rates=False):
         t_off = np.ascontiguousarray(t_off)
     levels = np.concatenate([o.levels for o in observations])
     block_ones = np.kron(np.eye(count), np.ones((d, d)))
-    m = increments.shape[0]
-    states = np.tile(np.concatenate(initials).astype(float), (m, 1))
-    yield states.reshape(m, count, d).swapaxes(0, 1)
+    states = np.tile(np.concatenate(initials).astype(float), (increments.shape[0], 1))
+    yield states
     for k in range(increments.shape[1]):
         states = gauge_cell(states, increments[:, k], dt, s_diag, t_off, levels)
         states /= states @ block_ones
-        yield states.reshape(m, count, d).swapaxes(0, 1)
+        yield states
 
 
 def stacked_models(models, increments, dt):
@@ -861,7 +860,7 @@ class TestBlockDiagonalStack:
         models = [random_model(rng, d, mixing[f]) for f in range(n_filters)]
         filters = [(m.initial, m.generator, m.observation) for m in models]
         increments = rng.normal(0.0, math.sqrt(dt), size=(width, n))
-        yielded = [(stack, stack.copy()) for stack in _lockstep(filters, increments, dt)]
+        yielded = [(stack, stack.copy()) for stack in lockstep_stacks(filters, increments, dt)]
         reference = list(stacked_models(models, increments, dt))
         assert len(yielded) == len(reference) == n + 1
         for (stack, at_yield), expected in zip(yielded, reference):
@@ -886,9 +885,9 @@ class TestBlockDiagonalStack:
         narrow = _lockstep(filters, increments[:width].copy(), dt)
         for both, first in zip(wide, narrow, strict=True):
             if width >= 2:
-                assert np.array_equal(both[:, :width], first)
+                assert np.array_equal(both[:width], first)
             else:
-                assert np.abs(both[:, :width] - first).max() <= 2.3e-16
+                assert np.abs(both[:width] - first).max() <= 2.3e-16
 
 
 class TestNonMixingUnderflow:
@@ -969,7 +968,7 @@ class TestOnePathRoutes:
         filters = [(m.initial, m.generator, m.observation) for m in (model, other)]
         inc = simulated_obs(model, max(1, n), dt, seed).increments[:n]
         values = np.stack([_scan_nodes(mu, inc, dt, g, o)[0] for mu, g, o in filters])
-        reference = np.stack(list(_lockstep(filters, inc[None], dt)), axis=2)[:, 0]
+        reference = np.stack(list(lockstep_stacks(filters, inc[None], dt)), axis=2)[:, 0]
         assert values.shape == reference.shape == (2, n + 1, model.d)
         assert np.abs(values - reference).sum(axis=-1).max() <= 1e-12
         assert np.all(values[reference >= np.finfo(float).tiny] > 0.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,64 @@ class TestBatchAndExport:
         assert np.array_equal(small, again)
         assert np.array_equal(small, large[:8])
 
+    @pytest.mark.parametrize("case", ["two-state", "three-state", "absorbing", "zero-weight"])
+    @pytest.mark.parametrize("seed", [2026, 7727, 4111])
+    def test_rows_are_the_one_path_routes(self, ref_model, three_state_model, case, seed):
+        """Each row is ``simulate_observations(simulate_signal(...))`` on its
+        trial's two spawned seeds, bit for bit: at d = 2 and d = 3, with a
+        non-mixing model whose state 1 has no exit rate, and with a zero-weight
+        initial state."""
+        model = ref_model if case == "two-state" else three_state_model
+        initial, generator = model.initial, model.generator
+        if case == "absorbing":
+            generator = wl.validate_generator([[-1.0, 0.5, 0.5], [0.0, 0.0, 0.0], [2.0, 1.0, -3.0]])
+            assert not generator.mixing
+        elif case == "zero-weight":
+            initial = np.array([0.0, 0.4, 0.6])
+        grid = wl.TimeGrid(5.0, 1e-2)
+        batch = wl.simulate_increments_batch(initial, generator, model.observation, grid, seed, 12)
+        assert batch.shape == (12, grid.n_steps)
+        for row, child in zip(batch, np.random.SeedSequence(seed).spawn(12), strict=True):
+            sig, noise = (np.random.Generator(np.random.Philox(s)) for s in child.spawn(2))
+            path = wl.simulate_signal(initial, generator, grid, sig)
+            assert np.array_equal(row, wl.simulate_observations(path, model.observation, grid, noise).increments)
+
+    def test_no_trials(self, ref_model):
+        grid = wl.TimeGrid(0.5, 1e-2)
+        batch = wl.simulate_increments_batch(ref_model.initial, ref_model.generator, ref_model.observation,
+                                             grid, 5, 0)
+        assert batch.shape == (0, grid.n_steps)
+
+    @pytest.mark.parametrize("name, value", [("master_seed", None), ("master_seed", -1), ("master_seed", 2.5),
+                                             ("master_seed", True), ("n_trials", -1), ("n_trials", 2.5),
+                                             ("n_trials", True), ("n_trials", None)])
+    def test_rejects_bad_seed_or_trial_count(self, ref_model, name, value):
+        """The rule ``ExperimentSpec`` applies: a nonnegative whole number, not a bool."""
+        args = {"master_seed": 5, "n_trials": 3, name: value}
+        with pytest.raises(wl.ConfigError, match=f"{name} must be a nonnegative whole number"):
+            wl.simulate_increments_batch(ref_model.initial, ref_model.generator, ref_model.observation,
+                                         wl.TimeGrid(0.5, 1e-2), args["master_seed"], args["n_trials"])
+
+    def test_numpy_integers_are_whole_numbers(self, ref_model):
+        args = (ref_model.initial, ref_model.generator, ref_model.observation, wl.TimeGrid(0.5, 1e-2))
+        assert np.array_equal(wl.simulate_increments_batch(*args, np.int64(5), np.int32(3)),
+                              wl.simulate_increments_batch(*args, 5, 3))
+
+    def test_memory_beyond_the_output(self, ref_model):
+        """A (200, 10^4) batch allocates at most 1 MiB beyond its output at its
+        peak: each trial works on its own row, and no batch-sized temporary
+        (a finiteness mask of the batch alone is 1.9 MiB) is made."""
+        args = (ref_model.initial, ref_model.generator, ref_model.observation, wl.TimeGrid(10.0, 1e-3))
+        wl.simulate_increments_batch(*args, 1, 1)
+        tracemalloc.start()
+        try:
+            out = wl.simulate_increments_batch(*args, 2026, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (200, 10_000)
+        assert peak - out.nbytes <= 2**20
+
     def test_csv_export_round_trip(self, ref_model, tmp_path):
         grid = wl.TimeGrid(0.2, 1e-2)
         sig, noise = wl.spawn_generators(5, 2)
@@ -188,6 +247,31 @@ class TestBatchAndExport:
         assert float(t) == 0.0
         assert int(state) == path.initial_state
         assert float(dy) == pytest.approx(obs.increments[0])
+
+
+class TestStateAt:
+    """At seed 0 on [0, 1] the reference chain visits the states 0, 1, 0, 1."""
+
+    @pytest.fixture
+    def path(self, ref_model):
+        path = wl.simulate_signal(ref_model.initial, ref_model.generator, wl.TimeGrid(1.0, 1e-2), 0)
+        assert path.states.tolist() == [0, 1, 0, 1]
+        return path
+
+    def test_segments_and_both_ends(self, path):
+        assert np.array_equal(path.state_at(path.segment_starts), path.states)
+        assert path.state_at(0.0) == 0
+        assert path.state_at(1.0) == path.state_at(1.0 + 0.5 * wl.simulate.NODE_TOL) == 1
+        assert np.array_equal(path.state_at([0.0, 0.5, 1.0]), [0, 1, 1])
+
+    @pytest.mark.parametrize("t", [-0.5, -1e-12, math.nan, math.inf, -math.inf,
+                                   1.0 + 2 * wl.simulate.NODE_TOL])
+    def test_times_off_the_path_rejected(self, path, t):
+        # an index of -1 would wrap to the last segment, state 1
+        with pytest.raises(wl.GridMismatchError):
+            path.state_at(t)
+        with pytest.raises(wl.GridMismatchError):
+            path.state_at([0.5, t])
 
 
 def choice_signal(initial, generator, t_end, rng):
