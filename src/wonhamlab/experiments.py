@@ -72,9 +72,6 @@ DEFAULT_CHECKPOINTS = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 REFINEMENT_LADDER = (4e-3, 2e-3, 1e-3, 5e-4)
 # The model components a convergence sweep can move toward the truth.
 _SWEEP_COMPONENTS = ("initial", "generator", "levels")
-# Nodes per block of the forgetting excursion count: each node's flat stack
-# rows are copied into the block, so per-node overhead is paid once per block.
-_EXCURSION_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -265,15 +262,15 @@ def _campaign(spec: ExperimentSpec, models, n_trials: int, excursion_bound=None)
     """Simulate the true model's paths once and run ``models`` on them in lockstep.
 
     Records, once per recorded node (the sorted union of the dense nodes and
-    the checkpoints), each later model's squared l2 and l1 gap to the first,
-    (F-1, n_trials, nodes), and the first model's reciprocal smallest weight,
-    (n_trials, nodes), and counts per later model the (trial, node) pairs where
-    the squared gap exceeds the l1 gap.  Each record's dense and checkpoint
-    columns come back as C-ordered copies: the layout fixes the means' summation
-    order.  ``excursion_bound`` (one value per grid node) also counts the
-    (trial, node) pairs, over every node, whose l1 gap exceeds it.  Each distinct
-    model runs once: one whose initial law, rate matrix and levels are bytewise
-    equal to an earlier one's shares that filter.
+    the checkpoints, picked from the stack's blocks of nodes), each later model's
+    squared l2 and l1 gap to the first, (F-1, n_trials, nodes), and the first
+    model's reciprocal smallest weight, (n_trials, nodes), and counts per later
+    model the (trial, node) pairs where the squared gap exceeds the l1 gap.  Each
+    record's dense and checkpoint columns come back as C-ordered copies: the layout
+    fixes the means' summation order.  ``excursion_bound`` (one value per grid node)
+    also counts, on each block of nodes where it lies, the (trial, node) pairs whose
+    l1 gap exceeds it.  Each distinct model runs once: one whose initial law, rate
+    matrix and levels are bytewise equal to an earlier one's shares that filter.
     """
     truth = spec.pair.true_model
     grid = spec.grid
@@ -293,26 +290,21 @@ def _campaign(spec: ExperimentSpec, models, n_trials: int, excursion_bound=None)
     filters = [(m.initial, m.generator, m.observation)
                for m in (models[rows.index(r)] for r in range(len(row_of)))]
     later = rows[1:] if len(row_of) < len(models) else slice(1, None)  # a view when no row repeats
-    d = spec.pair.d
-    if excursion_bound is not None:
-        block = np.empty((_EXCURSION_BLOCK, n_trials, len(row_of) * d))
-    for k, flat in enumerate(_lockstep(filters, increments, grid.dt)):
+    lo = 0
+    for block in _lockstep(filters, increments, grid.dt):
+        nodes = block.reshape(len(block), n_trials, -1, spec.pair.d)
         if excursion_bound is not None:
-            b = k % _EXCURSION_BLOCK
-            block[b] = flat
-            if b == _EXCURSION_BLOCK - 1 or k == grid.n_steps:
-                nodes = block[:b + 1].reshape(b + 1, n_trials, -1, d)
-                l1 = np.abs(nodes[..., later, :] - nodes[..., :1, :]).sum(axis=-1)
-                bounds = excursion_bound[k - b:k + 1, None, None]
-                excursions += int((~(l1 <= bounds)).sum())
-        i = pos.get(k)
-        if i is None:
-            continue
-        states = flat.reshape(n_trials, -1, d).swapaxes(0, 1)
-        diff = states[later] - states[0]
-        l1_gap[..., i] = np.abs(diff).sum(axis=-1)
-        sq_gap[..., i] = (diff * diff).sum(axis=-1)
-        inv_min[:, i] = 1.0 / states[0].min(axis=1)
+            l1 = np.abs(nodes[..., later, :] - nodes[..., :1, :]).sum(axis=-1)
+            excursions += int((~(l1 <= excursion_bound[lo:lo + len(block), None, None])).sum())
+        for k in range(lo, lo + len(block)):
+            i = pos.get(k)
+            if i is not None:
+                states = nodes[k - lo].swapaxes(0, 1)
+                diff = states[later] - states[0]
+                l1_gap[..., i] = np.abs(diff).sum(axis=-1)
+                sq_gap[..., i] = (diff * diff).sum(axis=-1)
+                inv_min[:, i] = 1.0 / states[0].min(axis=1)
+        lo += len(block)
 
     def columns(record, nodes):
         return np.ascontiguousarray(record[..., [pos[node] for node in nodes]])
@@ -646,9 +638,9 @@ def run_integrator_refinement(spec: ExperimentSpec) -> ExperimentReport:
     )
 
     def gauge_end(inc, dt):
-        for rows in _lockstep([(truth.initial, truth.generator, truth.observation)], inc, dt):
+        for block in _lockstep([(truth.initial, truth.generator, truth.observation)], inc, dt):
             pass
-        return rows
+        return block[-1]
 
     reference = gauge_end(increments, dt_ref)
     table = []

@@ -35,11 +35,11 @@ the diagonal rates and levels concatenated, the F off-diagonal blocks on the
 diagonal of one (F * d, F * d) matrix.  Each RK4 stage is then one 2-D matrix
 product over the paths, and each node renormalizes every block by one product
 with the block-diagonal matrix of ones.  The exact zeros off the blocks add
-nothing to any sum.  It yields its flat rows (m, F * d) as they are; callers
-reshape them to (m, F, d) only at the nodes they read.  Both batch loops take
-their gauge factors from ``_cell_factors``: a block of cells at once, with the
-(row, state) pairs on numpy's innermost axis, each cell's kernel call handed
-its own contiguous slices.  The factors are elementwise, so no value moves.
+nothing to any sum.  Both batch loops take their gauge factors from
+``_cell_factors`` one block of cells at a time, with the (row, state) pairs on
+numpy's innermost axis, and hand each cell's kernel call its own contiguous
+slices; the factors are elementwise, so no value moves.  ``_lockstep`` yields
+node 0, then each block's nodes as one new array of flat rows (b, m, F * d).
 Every route checks its exponents against the double range before any exp: an
 overflow is a StateCollapseError, not a NaN.  One splitter,
 ``split_rate_matrix``, lays out every route's rate matrix ``t_off``, once per
@@ -76,10 +76,20 @@ _EXPONENT_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
 # products per cell and its maps are the scan's whole working set; much shorter
 # blocks pay the per-block call overhead instead.
 _SCAN_BLOCK = 512
-# Cells per block of the batch loops' gauge factors: one exponential call per
-# block in place of one per cell.  Shorter blocks give back much of the saving;
-# the two factor buffers hold 2 * 16 * w * D doubles (w rows, D states).
+# Cells per block of the batch loops' gauge factors, and nodes per block the lockstep stack
+# yields: one exponential call per block in place of one per cell.  Shorter blocks give back
+# much of the saving; the two factor buffers hold 2 * 16 * w * D doubles (w rows, D states).
 _GAUGE_BLOCK = 16
+
+
+def _positive_vector(name: str, x) -> np.ndarray:
+    """``x`` as a flat float vector of strictly positive finite entries, or a typed error."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1:
+        raise DimensionMismatchError(f"{name} needs a flat vector, got shape {arr.shape}")
+    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+        raise NonPositiveEntryError(f"{name} needs strictly positive finite entries")
+    return arr
 
 
 def normalize(x) -> np.ndarray:
@@ -87,9 +97,7 @@ def normalize(x) -> np.ndarray:
 
     Rescales by the largest entry first so that subnormal inputs survive.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise NonPositiveEntryError("normalize needs strictly positive finite entries")
+    arr = _positive_vector("normalize", x)
     arr = arr / arr.max()
     return arr / arr.sum()
 
@@ -100,9 +108,7 @@ def normalize_jacobian(x) -> np.ndarray:
     Entry (i, j) is (delta_ij - (x/sum x)_i) / sum(x); annihilates x itself and
     scales like 1/alpha under x -> alpha x.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise NonPositiveEntryError("jacobian needs strictly positive entries")
+    arr = _positive_vector("the simplex projection's derivatives", x)
     total = arr.sum()
     return (np.eye(arr.shape[0]) - np.outer(arr / total, np.ones(arr.shape[0]))) / total
 
@@ -113,9 +119,8 @@ def normalize_second_derivative(x) -> np.ndarray:
     Component (i, k, l) equals -(J_ik + J_il) / sum(x) where J is the first
     derivative matrix; scales like 1/alpha^2 under x -> alpha x.
     """
-    arr = np.asarray(x, dtype=float)
-    jac = normalize_jacobian(arr)
-    return -(jac[:, :, None] + jac[:, None, :]) / arr.sum()
+    jac = normalize_jacobian(x)
+    return -(jac[:, :, None] + jac[:, None, :]) / np.asarray(x, dtype=float).sum()
 
 
 def split_rate_matrix(rates) -> tuple[np.ndarray, np.ndarray]:
@@ -205,11 +210,11 @@ def propagate_cell_matrix(matrices, d_y, dt, s_diag, t_off, levels) -> np.ndarra
 
 
 def _cell_factors(increments, dt, s_diag, levels):
-    """The pair ``_gauge_factors`` gives for each cell's increments, (w, D) each,
-    bit for bit, over the cells of ``increments`` (..., n), w = prod(...).
-    Per block of ``_GAUGE_BLOCK`` cells, from a C-ordered copy of its increments,
-    with the w * D (row, state) pairs innermost: the increments over dt repeated per
-    state, the levels and rate constants tiled over the rows once.  The next block overwrites them.
+    """Per block of ``_GAUGE_BLOCK`` cells of ``increments`` (..., n), the pair (e_half, e_full),
+    (b, w, D) each, w = prod(...): entry j is the pair ``_gauge_factors`` gives for the block's
+    cell j, bit for bit.  From a C-ordered copy of the block's increments, with the w * D (row,
+    state) pairs innermost: the increments over dt repeated per state, the levels and rate
+    constants tiled over the rows once.  The next block overwrites both arrays.
     It restates ``_gauge_factors``' exponent formula in the same operation order, which keeps
     the two bit for bit (``TestCellFactors``); the one-path routes keep ``_gauge_factors``.
     Each operation of that formula is monotone in the increment, so the exponents of the
@@ -227,25 +232,25 @@ def _cell_factors(increments, dt, s_diag, levels):
         c *= tiled_levels
         np.subtract(tiled_base, c, out=c)
         factors = np.multiply(c, scales, out=buffers[:, :len(d_y)])
-        e_half, e_full = np.exp(factors, out=factors).reshape(2, -1, width, states)
-        yield from zip(e_half, e_full)
+        yield tuple(np.exp(factors, out=factors).reshape(2, -1, width, states))
 
 
 def _flow_loop(matrices, increments, dt, s_diag, t_off, levels) -> tuple[np.ndarray, np.ndarray]:
     """Matrices (..., d, k) advanced across the cells of ``increments`` (..., n), each
     rescaled to unit absolute mass after every cell (so signed entries too), and their
     summed log masses (...).  Flattened to rows once, each matrix's columns as
-    ``propagate_cell_matrix`` lays them out; one kernel call per cell on ``_cell_factors``."""
+    ``propagate_cell_matrix`` lays them out; one kernel call per cell of each ``_cell_factors`` block."""
     lead = np.broadcast_shapes(matrices.shape[:-2], increments.shape[:-1])
     d, k = matrices.shape[-2:]
     rows = np.array(np.broadcast_to(np.swapaxes(matrices, -1, -2), lead + (k, d))).reshape(-1, k, d)
     per_row = np.broadcast_to(increments[..., None, :], lead + (k, increments.shape[-1]))
     log_mass = np.zeros(len(rows))
-    for factors in _cell_factors(per_row, dt, s_diag, levels):
-        rows = propagate_cell(rows.reshape(-1, d), dt, t_off, factors).reshape(-1, k, d)
-        mass = np.abs(rows).sum(axis=(1, 2))
-        rows /= mass[:, None, None]
-        log_mass += np.log(mass)
+    for e_half, e_full in _cell_factors(per_row, dt, s_diag, levels):
+        for factors in zip(e_half, e_full):
+            rows = propagate_cell(rows.reshape(-1, d), dt, t_off, factors).reshape(-1, k, d)
+            mass = np.abs(rows).sum(axis=(1, 2))
+            rows /= mass[:, None, None]
+            log_mass += np.log(mass)
     return np.swapaxes(rows.reshape(lead + (k, d)), -1, -2), log_mass.reshape(lead)
 
 
@@ -328,7 +333,8 @@ def _lockstep(filters, increments, dt):
     The F models do not couple, so the stack is one model with F * d states and
     a block-diagonal rate matrix, advanced as rows (m, F * d); each block is
     renormalized by its own mass, with one product by the block-diagonal ones.
-    Yields those rows at node 0 and after every cell; ``reshape(m, F, d)`` views the stack.
+    Yields them in blocks of nodes (b, m, F * d), each a new array: node 0 alone, then the
+    nodes of each ``_cell_factors`` block of cells; ``reshape(b, m, F, d)`` views the stack.
     """
     initials, generators, observations = zip(*filters)
     count, d = len(generators), generators[0].d
@@ -338,13 +344,14 @@ def _lockstep(filters, increments, dt):
     s_diag, t_off = split_rate_matrix(rates)
     levels = np.concatenate([o.levels for o in observations])
     block_ones = np.kron(np.eye(count), np.ones((d, d)))
-    m = increments.shape[0]
-    states = np.tile(np.concatenate(initials).astype(float), (m, 1))
-    yield states
-    for factors in _cell_factors(increments, dt, s_diag, levels):
-        states = propagate_cell(states, dt, t_off, factors)
-        states /= np.dot(states, block_ones)
-        yield states
+    states = np.tile(np.concatenate(initials).astype(float), (len(increments), 1))
+    yield states[None]
+    for e_half, e_full in _cell_factors(increments, dt, s_diag, levels):
+        nodes = np.empty((len(e_full),) + states.shape)
+        for node, *factors in zip(nodes, e_half, e_full):
+            states = propagate_cell(states, dt, t_off, factors)
+            states = np.divide(states, np.dot(states, block_ones), out=node)
+        yield nodes
 
 
 def _node_range(obs: ObservationPath, s, t) -> np.ndarray:
@@ -388,12 +395,8 @@ def gauge_filter(mu, s, t, obs: ObservationPath, generator: GeneratorMatrix,
     finite, and DimensionMismatchError unless it and the levels have one entry
     per state.
     """
-    arr = np.asarray(mu, dtype=float)
-    _check_sizes(generator, observation)
-    if arr.shape != (generator.d,):
-        raise DimensionMismatchError(f"gauge filter start of shape {arr.shape} for {generator.d} states")
-    if not np.all((arr > 0.0) & np.isfinite(arr)):
-        raise NonPositiveEntryError("gauge filter needs a strictly positive finite start")
+    arr = _positive_vector("gauge filter start", mu)
+    _check_sizes(generator, observation, arr)
     # Rescaled by the largest entry before the sum, as in ``normalize``: the sum cannot overflow.
     peak = arr.max()
     arr = arr / peak
@@ -547,8 +550,11 @@ class FlowMatrix:
         return math.exp(self.log_scale) * self.entries
 
     def apply(self, vec) -> np.ndarray:
-        """Image of a vector under the scaled entries (log mass dropped)."""
-        return self.entries @ np.asarray(vec, dtype=float)
+        """Image of a vector (d,) under the scaled entries (log mass dropped)."""
+        arr = np.asarray(vec, dtype=float)
+        if arr.shape != (self.d,):
+            raise DimensionMismatchError(f"flow of {self.d} states applied to shape {arr.shape}")
+        return self.entries @ arr
 
 
 def zakai_flow(s, t, obs: ObservationPath, generator: GeneratorMatrix,
@@ -565,7 +571,9 @@ def zakai_flow(s, t, obs: ObservationPath, generator: GeneratorMatrix,
 
 
 def compose_flows(later: FlowMatrix, earlier: FlowMatrix) -> FlowMatrix:
-    """Chain two propagators; spans must abut."""
+    """Chain two propagators of one state count; spans must abut."""
+    if later.d != earlier.d:
+        raise DimensionMismatchError(f"flows of {later.d} and {earlier.d} states do not compose")
     if abs(later.s - earlier.t) > 1e-9:
         raise GridMismatchError("flow spans do not abut")
     product = later.entries @ earlier.entries

@@ -27,7 +27,6 @@ from .filters import (
     _endpoint_flows,
     _scan_nodes,
     cell_propagators,
-    normalize_second_derivative,
     zakai_flow,
 )
 from .models import (
@@ -110,32 +109,34 @@ def derivative_opnorm_from_flow(entries, mu) -> np.ndarray:
     return 0.5 * pair_gaps.max(axis=(-1, -2))
 
 
+def _checked_flow(s, t, obs: ObservationPath, generator: GeneratorMatrix, observation: ObservationMap,
+                  laws, directions=()):
+    """``laws`` validated as interior simplex points and ``directions`` as tangents, all
+    checked against the model's size, in that order, then the propagator over [s, t]."""
+    laws = [validate_simplex(x) for x in laws]
+    directions = [validate_tangent(x) for x in directions]
+    _check_sizes(generator, observation, *laws, *directions)
+    return (*laws, *directions, zakai_flow(s, t, obs, generator, observation))
+
+
 def derivative_flow(mu, v, s, t, obs: ObservationPath, generator: GeneratorMatrix,
                     observation: ObservationMap) -> np.ndarray:
     """Directional derivative of the filter restarted at s, evaluated at t (flow route)."""
-    mu = validate_simplex(mu)
-    v = validate_tangent(v)
-    _check_sizes(generator, observation, mu, v)
-    flow = zakai_flow(s, t, obs, generator, observation)
+    mu, v, flow = _checked_flow(s, t, obs, generator, observation, [mu], [v])
     return derivative_from_flow(flow.entries, mu, v)
 
 
 def smoothing_matrix(t, obs: ObservationPath, initial, generator: GeneratorMatrix,
                      observation: ObservationMap) -> np.ndarray:
     """Posterior of the initial state given observations up to t and the state at t."""
-    nu = validate_simplex(initial)
-    _check_sizes(generator, observation, nu)
-    flow = zakai_flow(0.0, t, obs, generator, observation)
+    nu, flow = _checked_flow(0.0, t, obs, generator, observation, [initial])
     return smoothing_from_flow(flow.entries, nu)
 
 
 def derivative_smoothing_route(initial, v, t, obs: ObservationPath, generator: GeneratorMatrix,
                                observation: ObservationMap) -> np.ndarray:
     """Directional derivative at the true initial law via smoothing probabilities."""
-    nu = validate_simplex(initial)
-    v = validate_tangent(v)
-    _check_sizes(generator, observation, nu, v)
-    flow = zakai_flow(0.0, t, obs, generator, observation)
+    nu, v, flow = _checked_flow(0.0, t, obs, generator, observation, [initial], [v])
     return derivative_from_smoothing(flow.entries, nu, v)
 
 
@@ -146,10 +147,7 @@ def tilted_filter(mu, t, obs: ObservationPath, initial, generator: GeneratorMatr
     Uses the likelihood-ratio representation: reweight the joint law of the
     initial and terminal states by mu/nu and renormalize.
     """
-    nu = validate_simplex(initial)
-    mu = validate_simplex(mu)
-    _check_sizes(generator, observation, nu, mu)
-    flow = zakai_flow(0.0, t, obs, generator, observation)
+    nu, mu, flow = _checked_flow(0.0, t, obs, generator, observation, [initial, mu])
     x = flow.apply(nu)
     pi = x / x.sum()
     rho = smoothing_from_flow(flow.entries, nu)
@@ -189,19 +187,10 @@ def lipschitz_bound(mu_1, mu_2, s, t, generator: GeneratorMatrix) -> float:
 
 def second_derivative_flow(mu, v, s, t, obs: ObservationPath, generator: GeneratorMatrix,
                            observation: ObservationMap) -> np.ndarray:
-    """Second directional derivative along (v, v) via the flow route.
-
-    Contracts the second-derivative tensor of the simplex projection at the
-    propagated law with two copies of the propagated direction.
-    """
-    mu = validate_simplex(mu)
-    v = validate_tangent(v)
-    _check_sizes(generator, observation, mu, v)
-    flow = zakai_flow(s, t, obs, generator, observation)
-    x = flow.apply(mu)
-    w = flow.apply(v)
-    tensor = normalize_second_derivative(x)
-    return np.einsum("ikl,k,l->i", tensor, w, w)
+    """Second directional derivative along (v, v) via the flow route: the
+    contracted form of ``second_derivative_from_flow`` on the propagator over [s, t]."""
+    mu, v, flow = _checked_flow(s, t, obs, generator, observation, [mu], [v])
+    return second_derivative_from_flow(flow.entries, mu, v)
 
 
 def second_derivative_gap_bound(mu, v, w, s, t, generator: GeneratorMatrix) -> float:

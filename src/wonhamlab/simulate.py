@@ -113,14 +113,24 @@ class ObservationPath:
 
 
 def spawn_generators(master_seed: int, n: int) -> list[np.random.Generator]:
-    """Split a master seed into n independent counter-based streams."""
-    return [np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence(master_seed).spawn(n)]
+    """Split a master seed (see ``_seed_sequence``) into n independent counter-based streams."""
+    _check_whole("n", n)
+    children = _seed_sequence("master_seed", master_seed).spawn(n)
+    return [np.random.Generator(np.random.Philox(s)) for s in children]
+
+
+def _seed_sequence(name: str, seed) -> np.random.SeedSequence:
+    """The SeedSequence of a whole-number seed or a list or tuple of them; ConfigError otherwise."""
+    for entry in seed if isinstance(seed, (list, tuple)) else [seed]:
+        _check_whole(name, entry)
+    return np.random.SeedSequence(seed)
 
 
 def _as_generator(seed) -> np.random.Generator:
+    """``seed`` itself if it is a Generator, else a stream from it as ``_seed_sequence`` checks it."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return np.random.Generator(np.random.Philox(_seed_sequence("seed", seed)))
 
 
 def _cumulative_law(p) -> np.ndarray:

@@ -80,8 +80,14 @@ def gauge_cell(values, d_y, dt, s_diag, t_off, levels):
     return propagate_cell(values, dt, t_off, _gauge_factors(d_y, dt, s_diag, levels))
 
 
+def lockstep_nodes(filters, increments, dt):
+    """``_lockstep``'s flat rows (m, F * d), node by node across its blocks of nodes."""
+    for block in _lockstep(filters, increments, dt):
+        yield from block
+
+
 def lockstep_stacks(filters, increments, dt):
-    """``_lockstep``'s flat rows (m, F * d) at every node, viewed as the stack (F, m, d)."""
+    """``lockstep_nodes``' rows at every node, viewed as the stack (F, m, d)."""
     d = filters[0][1].d
-    for rows in _lockstep(filters, increments, dt):
+    for rows in lockstep_nodes(filters, increments, dt):
         yield rows.reshape(len(rows), -1, d).swapaxes(0, 1)

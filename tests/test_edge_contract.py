@@ -223,3 +223,36 @@ def test_refine_factor_must_be_a_whole_number(factor):
         grid.refined(factor)
     assert grid.refined(1) == grid
     assert grid.refined(np.int64(3)).node(0.01) == 3
+
+
+@pytest.mark.parametrize("route", ["normalize", "normalize_jacobian", "normalize_second_derivative"])
+@pytest.mark.parametrize("x, error", [
+    pytest.param([1.0, math.nan], wl.NonPositiveEntryError, id="nan"),
+    pytest.param([1.0, math.inf], wl.NonPositiveEntryError, id="inf"),
+    pytest.param([1.0, 0.0], wl.NonPositiveEntryError, id="zero"),
+    pytest.param([1.0, -0.5], wl.NonPositiveEntryError, id="negative"),
+    pytest.param([[1.0, 2.0]], wl.DimensionMismatchError, id="row"),
+    pytest.param(2.0, wl.DimensionMismatchError, id="scalar"),
+])
+def test_simplex_projection_and_its_derivatives_check_their_point(route, x, error):
+    """The projection and its two derivatives take a flat vector of strictly
+    positive finite entries: anything else is a typed error, not a NaN result,
+    a numpy warning or a (2, 1) matrix for the row [[1, 2]]."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            getattr(wl, route)(x)
+
+
+def test_flows_of_different_sizes_raise_a_typed_error():
+    """Composing a two-state and a three-state flow, or applying a flow to a
+    vector without one entry per state, is a DimensionMismatchError, not
+    numpy's ValueError."""
+    two = wl.FlowMatrix(entries=np.full((2, 2), 0.25), log_scale=0.0, s=0.0, t=1.0)
+    three = wl.FlowMatrix(entries=np.full((3, 3), 1.0 / 9.0), log_scale=0.0, s=1.0, t=2.0)
+    assert wl.compose_flows(two, wl.FlowMatrix(two.entries, 0.0, -1.0, 0.0)).d == 2
+    assert two.apply([0.5, 0.5]).shape == (2,)
+    for call in (lambda: wl.compose_flows(three, two), lambda: two.apply([0.2, 0.3, 0.5]),
+                 lambda: two.apply([[0.5, 0.5]]), lambda: two.apply(0.5)):
+        with pytest.raises(wl.DimensionMismatchError):
+            call()

@@ -483,9 +483,9 @@ class TestIntegratorRefinement:
         real = experiments._lockstep
 
         def recorded(filters, increments, dt):
-            for rows in real(filters, increments, dt):
-                yield rows
-            runs.append((increments.copy(), dt, rows.copy()))
+            for block in real(filters, increments, dt):
+                yield block
+            runs.append((increments.copy(), dt, block[-1].copy()))
 
         monkeypatch.setattr(experiments, "_lockstep", recorded)
         report = wl.run_integrator_refinement(spec)
@@ -494,7 +494,7 @@ class TestIntegratorRefinement:
         def end(increments, dt):
             *_, last = experiments._lockstep([(truth.initial, truth.generator, truth.observation)],
                                              increments, dt)
-            return last
+            return last[-1]
 
         m = spec.n_trials
         fine = wl.simulate_increments_batch(truth.initial, truth.generator, truth.observation,
@@ -529,10 +529,10 @@ def poison_last_filter(monkeypatch, trial=0):
 
     def poisoned(filters, increments, dt):
         d = filters[0][1].d
-        for rows in real(filters, increments, dt):
-            rows = rows.copy()
-            rows[trial, -d:] = np.nan
-            yield rows
+        for block in real(filters, increments, dt):
+            block = block.copy()
+            block[:, trial, -d:] = np.nan
+            yield block
 
     monkeypatch.setattr(experiments, "_lockstep", poisoned)
 

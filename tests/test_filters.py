@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import wonhamlab as wl
-from conftest import gauge_cell, lockstep_stacks
+from conftest import gauge_cell, lockstep_nodes, lockstep_stacks
 from wonhamlab.filters import (
     _GAUGE_BLOCK,
     _SCAN_BLOCK,
@@ -813,21 +813,28 @@ class TestBlockDiagonalStack:
     @settings(derandomize=True, deadline=None, max_examples=3)
     def test_blocked_factors_match_per_cell_loop(self, width, n, d, n_filters, dt, mixing, seed):
         """Gauge factors computed per block of cells give the per-cell loop,
-        bit for bit, at every node."""
+        bit for bit, at every node.  The nodes come as node 0 alone, then one
+        block of nodes per block of ``_GAUGE_BLOCK`` cells, the last one short."""
         rng = np.random.default_rng(seed)
         models = [random_model(rng, d, mixing[f]) for f in range(n_filters)]
         filters = [(m.initial, m.generator, m.observation) for m in models]
         increments = rng.normal(0.0, math.sqrt(dt), size=(width, n))
-        for got, want in zip(_lockstep(filters, increments, dt),
-                             per_cell_lockstep(filters, increments, dt), strict=True):
-            assert np.array_equal(got, want)
+        reference = per_cell_lockstep(filters, increments, dt)
+        sizes = []
+        for block in _lockstep(filters, increments, dt):
+            assert block.shape[1:] == (width, n_filters * d)
+            sizes.append(len(block))
+            for got in block:
+                assert np.array_equal(got, next(reference))
+        assert next(reference, None) is None
+        assert sizes == [1] + [min(_GAUGE_BLOCK, n - lo) for lo in range(0, n, _GAUGE_BLOCK)]
 
     def test_each_cell_gets_contiguous_factors(self, monkeypatch):
         """One kernel call per cell, each given its own (m, F * d) factor
         slices, C-ordered and bit for bit the pair ``_gauge_factors`` gives for
         the cell's increments, and the block-diagonal rate rows ``t_off.T``
-        C-ordered.  Each call is checked as its node is yielded, before the
-        next block overwrites the factor buffers."""
+        C-ordered.  A block's calls are checked as its nodes are yielded,
+        before the next block overwrites the factor buffers."""
         rng = np.random.default_rng(5)
         models = [random_model(rng, 3, f % 2 == 0) for f in range(3)]
         s_diag = np.concatenate([split_rate_matrix(m.generator.entries)[0] for m in models])
@@ -835,18 +842,21 @@ class TestBlockDiagonalStack:
         width, n = 5, 2 * _GAUGE_BLOCK + 3
         increments = rng.normal(0.0, math.sqrt(1e-3), size=(width, n))
         calls = record_kernel_calls(monkeypatch)
-        nodes = _lockstep([(m.initial, m.generator, m.observation) for m in models], increments, 1e-3)
-        next(nodes)
-        for k, _ in enumerate(nodes):
-            assert len(calls) == k + 1
-            _, dt, t_off, factors = calls[k]
-            assert dt == 1e-3
-            assert t_off.shape == (9, 9) and t_off.T.flags.c_contiguous
-            want = _gauge_factors(increments[:, k], 1e-3, s_diag, levels)
-            for got, expected in zip(factors, want, strict=True):
-                assert got.shape == (width, 9) and got.flags.c_contiguous
-                assert np.array_equal(got, expected)
-        assert len(calls) == n
+        blocks = _lockstep([(m.initial, m.generator, m.observation) for m in models], increments, 1e-3)
+        next(blocks)
+        done = 0
+        for block in blocks:
+            done += len(block)
+            assert len(calls) == done
+            for k in range(done - len(block), done):
+                _, dt, t_off, factors = calls[k]
+                assert dt == 1e-3
+                assert t_off.shape == (9, 9) and t_off.T.flags.c_contiguous
+                want = _gauge_factors(increments[:, k], 1e-3, s_diag, levels)
+                for got, expected in zip(factors, want, strict=True):
+                    assert got.shape == (width, 9) and got.flags.c_contiguous
+                    assert np.array_equal(got, expected)
+        assert done == len(calls) == n
 
     @given(d=st.integers(2, 10), n_filters=st.integers(1, 4), width=st.integers(1, 6),
            n=st.sampled_from([0, 1, 37]), dt=st.sampled_from([1e-3, 1e-2]),
@@ -881,8 +891,8 @@ class TestBlockDiagonalStack:
         models = [random_model(rng, d, mixing[f]) for f in range(n_filters)]
         filters = [(m.initial, m.generator, m.observation) for m in models]
         increments = rng.normal(0.0, math.sqrt(dt), size=(2 * width, n))
-        wide = _lockstep(filters, increments, dt)
-        narrow = _lockstep(filters, increments[:width].copy(), dt)
+        wide = lockstep_nodes(filters, increments, dt)
+        narrow = lockstep_nodes(filters, increments[:width].copy(), dt)
         for both, first in zip(wide, narrow, strict=True):
             if width >= 2:
                 assert np.array_equal(both[:width], first)
@@ -1167,17 +1177,18 @@ class TestCellFactors:
     @given(states=st.integers(1, 40), dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 2**32 - 1))
     @settings(derandomize=True, deadline=None, max_examples=3)
     def test_block_matches_gauge_factors(self, n, width, states, dt, seed):
-        """Each cell of one block: its factors as ``_gauge_factors`` gives them
-        for that cell alone, bit for bit, each a C-ordered (w, D) array."""
+        """One block, a (b, w, D) array of each factor: each cell's factors as
+        ``_gauge_factors`` gives them for that cell alone, bit for bit, each a
+        C-ordered (w, D) array."""
         rng = np.random.default_rng(seed)
         s_diag = -rng.uniform(0.0, 5.0, size=states)
         levels = rng.uniform(-2.0, 2.0, size=states)
         increments = rng.normal(0.0, math.sqrt(dt), size=(width, n))
-        cells = list(_cell_factors(increments, dt, s_diag, levels))
-        assert len(cells) == n
-        for k, factors in enumerate(cells):
+        [block] = _cell_factors(increments, dt, s_diag, levels)
+        assert [e.shape for e in block] == [(n, width, states)] * 2
+        for k in range(n):
             want = _gauge_factors(increments[:, k], dt, s_diag, levels)
-            for got, expected in zip(factors, want, strict=True):
+            for got, expected in zip((e[k] for e in block), want, strict=True):
                 assert got.shape == (width, states) and got.flags.c_contiguous
                 assert np.array_equal(got, expected)
 
@@ -1188,10 +1199,14 @@ class TestCellFactors:
         matrices, k, n, states = 5, 3, 2 * _GAUGE_BLOCK + 5, 3
         s_diag, levels = -rng.uniform(0.0, 5.0, size=states), rng.uniform(-2.0, 2.0, size=states)
         per_row = np.broadcast_to(rng.normal(0.0, 0.03, size=(matrices, 1, n)), (matrices, k, n))
-        for j, factors in enumerate(_cell_factors(per_row, 1e-3, s_diag, levels)):
-            want = _gauge_factors(per_row[..., j].ravel(), 1e-3, s_diag, levels)
-            assert all(np.array_equal(got, expected) for got, expected in zip(factors, want, strict=True))
-        assert j == n - 1
+        j = 0
+        for e_half, e_full in _cell_factors(per_row, 1e-3, s_diag, levels):
+            assert len(e_half) == len(e_full) == min(_GAUGE_BLOCK, n - j)
+            for factors in zip(e_half, e_full):
+                want = _gauge_factors(per_row[..., j].ravel(), 1e-3, s_diag, levels)
+                assert all(np.array_equal(got, expected) for got, expected in zip(factors, want, strict=True))
+                j += 1
+        assert j == n
 
     @pytest.mark.parametrize("value", [1e3, -1e3, math.nan])
     def test_out_of_range_cell_raises_before_the_first_block(self, value):
@@ -1272,7 +1287,7 @@ class TestRateLayout:
         filters = [(m.initial, m.generator, m.observation) for m in models]
         increments = rng.normal(0.0, math.sqrt(1e-3), size=(width, self.CELLS))
         gaps = [np.abs(new - old).max() for new, old in zip(
-            _lockstep(filters, increments, 1e-3),
+            lockstep_nodes(filters, increments, 1e-3),
             per_cell_lockstep(filters, increments, 1e-3, c_ordered_rates=True), strict=True)]
         assert len(gaps) == self.CELLS + 1 and np.max(gaps) <= 1e-13
 

@@ -291,13 +291,16 @@ class TestSecondDerivative:
         assert np.abs(out - fd).sum() <= 1e-2 * np.abs(out).sum()
 
     def test_contracted_form_matches_tensor_form(self, ref_model, ref_obs):
+        """The public route, which contracts in closed form, against the
+        simplex projection's public second-derivative tensor contracted with
+        two copies of the propagated direction."""
         flow = wl.zakai_flow(0.0, 1.0, ref_obs, ref_model.generator, ref_model.observation)
         mu = np.array([0.45, 0.55])
         v = np.array([0.4, -0.4])
-        assert second_derivative_from_flow(flow.entries, mu, v) == pytest.approx(
-            wl.second_derivative_flow(mu, v, 0.0, 1.0, ref_obs, ref_model.generator,
-                                      ref_model.observation)
-        )
+        x, w = flow.apply(mu), flow.apply(v)
+        assert wl.second_derivative_flow(mu, v, 0.0, 1.0, ref_obs, ref_model.generator,
+                                         ref_model.observation) == pytest.approx(
+            np.einsum("ikl,k,l->i", wl.normalize_second_derivative(x), w, w))
 
     def test_gap_bound_on_thousand_draws(self, ref_model):
         grid = wl.TimeGrid(1.0, 1e-3)

@@ -213,6 +213,37 @@ class TestBatchAndExport:
             wl.simulate_increments_batch(ref_model.initial, ref_model.generator, ref_model.observation,
                                          wl.TimeGrid(0.5, 1e-2), args["master_seed"], args["n_trials"])
 
+    @pytest.mark.parametrize("value", [None, -1, 2.5, True, [5, None], (5, -1), [2.5]])
+    @pytest.mark.parametrize("route", ["signal", "observations", "spawn-seed", "spawn-count", "probe"])
+    def test_every_seeded_route_rejects_bad_seeds(self, ref_model, route, value):
+        """The same rule on every other route that takes a seed, for an int
+        seed and each entry of a list or tuple: ``None`` would draw OS entropy,
+        and numpy would raise its own ValueError or TypeError for the others.
+        The count of ``spawn_generators`` takes whole numbers only."""
+        grid = wl.TimeGrid(0.5, 1e-2)
+        path = wl.simulate_signal(ref_model.initial, ref_model.generator, grid, 1)
+        call = {
+            "signal": lambda: wl.simulate_signal(ref_model.initial, ref_model.generator, grid, value),
+            "observations": lambda: wl.simulate_observations(path, ref_model.observation, grid, value),
+            "spawn-seed": lambda: wl.spawn_generators(value, 2),
+            "spawn-count": lambda: wl.spawn_generators(5, value),
+            "probe": lambda: wl.measure_integrator_tolerance(ref_model, grid, value),
+        }[route]
+        with pytest.raises(wl.ConfigError, match="must be a nonnegative whole number"):
+            call()
+
+    def test_seeded_routes_take_generators_and_seed_lists(self, ref_model):
+        """A Generator passes through as the stream itself, and a list of
+        whole numbers seeds as numpy's ``SeedSequence`` does."""
+        grid = wl.TimeGrid(0.5, 1e-2)
+        rng = np.random.default_rng(3)
+        path = wl.simulate_signal(ref_model.initial, ref_model.generator, grid, rng)
+        again = wl.simulate_signal(ref_model.initial, ref_model.generator, grid, np.random.default_rng(3))
+        assert np.array_equal(path.segment_starts, again.segment_starts)
+        [ours] = wl.spawn_generators([5, np.int64(7)], 1)
+        [theirs] = np.random.SeedSequence([5, 7]).spawn(1)
+        assert ours.random() == np.random.Generator(np.random.Philox(theirs)).random()
+
     def test_numpy_integers_are_whole_numbers(self, ref_model):
         args = (ref_model.initial, ref_model.generator, ref_model.observation, wl.TimeGrid(0.5, 1e-2))
         assert np.array_equal(wl.simulate_increments_batch(*args, np.int64(5), np.int32(3)),
