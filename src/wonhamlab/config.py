@@ -24,12 +24,14 @@ One YAML file describes one model pair plus experiment defaults:
 Matrices are row lists.  Scalar fields can be overridden from the command line.
 Fields are not coerced: the trial count and the seed must be whole numbers,
 the flag true or false, and the checkpoints, sweep sizes and components lists;
-anything else raises ConfigError.
+anything else raises ConfigError.  ``RunConfig.with_overrides`` writes each
+override into the parsed file and parses it again, so an override obeys the
+same rules: a seed of 150.0 is kept as 150, and 2.7, True or "false" raise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import yaml
 
@@ -120,16 +122,14 @@ class RunConfig:
         }
 
     def with_overrides(self, *, seed=None, trials=None, dt=None, strict_tolerance=None) -> "RunConfig":
-        cfg = self
-        if seed is not None:
-            cfg = replace(cfg, master_seed=int(seed))
-        if trials is not None:
-            cfg = replace(cfg, n_trials=int(trials))
-        if dt is not None:
-            cfg = replace(cfg, grid=TimeGrid(cfg.grid.t_end, float(dt)))
-        if strict_tolerance is not None:
-            cfg = replace(cfg, strict_tolerance=bool(strict_tolerance))
-        return cfg
+        """This config with each given field written into its mapping and parsed
+        again, so an override obeys the file's own rules."""
+        mapping = self.to_mapping()
+        for section, key, value in (("experiment", "seed", seed), ("experiment", "n_trials", trials),
+                                    ("grid", "dt", dt), ("experiment", "strict_tolerance", strict_tolerance)):
+            if value is not None:
+                mapping[section][key] = value
+        return RunConfig.from_mapping(mapping)
 
     def to_spec(self) -> ExperimentSpec:
         return ExperimentSpec(**{f.name: getattr(self, f.name) for f in fields(ExperimentSpec)})

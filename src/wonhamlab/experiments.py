@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -41,11 +42,9 @@ from .filters import (
 from .models import (
     FilterModel,
     ModelPair,
-    generator_gap,
+    _robustness_terms,
     inverse_moment_constant,
     mixing_rate,
-    observation_gap,
-    robustness_constants,
 )
 from .sensitivity import (
     derivative_from_flow,
@@ -55,6 +54,7 @@ from .sensitivity import (
     _apply,
 )
 from .simulate import (
+    NODE_TOL,
     TimeGrid,
     _as_generator,
     _check_whole,
@@ -104,9 +104,10 @@ class ExperimentSpec:
             raise InsufficientTrialsError(
                 f"need at least {MIN_TRIALS} trials for reported statistics, got {self.n_trials}"
             )
-        if not all(math.isfinite(c) for c in self.checkpoints):
-            raise ConfigError(f"checkpoints must be finite, got {list(self.checkpoints)}")
-        kept = tuple(c for c in self.checkpoints if c <= self.grid.t_end + 1e-12)
+        checkpoints = _reals("checkpoints", self.checkpoints)
+        if not all(math.isfinite(c) for c in checkpoints):
+            raise ConfigError(f"checkpoints must be finite, got {list(checkpoints)}")
+        kept = tuple(c for c in checkpoints if c <= self.grid.t_end + NODE_TOL)
         if not kept:
             raise ConfigError("no checkpoint lies on the grid horizon")
         nodes = [self.grid.node(c) for c in kept]
@@ -114,7 +115,7 @@ class ExperimentSpec:
             raise ConfigError("two checkpoints fall on the same grid node")
         object.__setattr__(self, "checkpoints", tuple(sorted(kept)))
         if self.sweep_sizes is not None:
-            sizes = tuple(float(s) for s in self.sweep_sizes)
+            sizes = tuple(float(s) for s in _reals("sweep_sizes", self.sweep_sizes))
             decreasing = list(sizes) == sorted(sizes, reverse=True)
             if not (sizes and decreasing and all(0.0 < s <= 1.0 for s in sizes)):
                 raise ConfigError("sweep sizes must be nonempty, decreasing and lie in (0, 1]")
@@ -193,6 +194,17 @@ def _report(experiment: str, spec: ExperimentSpec, n_trials: int, **parts) -> Ex
     experiment name, the seed, the trial count it used and the spec's echo."""
     return ExperimentReport(experiment=experiment, master_seed=spec.master_seed, n_trials=n_trials,
                             config=spec_to_mapping(spec), **parts)
+
+
+def _reals(name: str, values) -> tuple:
+    """``values`` as a tuple; ConfigError unless they are real numbers other than bools."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = None
+    if items is None or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
+        raise ConfigError(f"{name} must be a sequence of real numbers, got {values!r}")
+    return items
 
 
 def _check_components(components) -> None:
@@ -357,11 +369,7 @@ def _robustness_entries(spec: ExperimentSpec, camp: dict, approx_models, allowan
     entries = []
     inconclusive = False
     for f, approx in enumerate(approx_models):
-        c = robustness_constants(ModelPair(true_model=truth, approx_model=approx))
-        gap_initial = float(np.abs(approx.initial - truth.initial).sum())
-        gap_levels = observation_gap(truth.observation, approx.observation)
-        gap_rates = generator_gap(truth.generator, approx.generator)
-        bound = float(c.c1 * gap_initial + c.c2 * gap_levels + c.c3 * gap_rates)
+        c, gaps, bound = _robustness_terms(ModelPair(true_model=truth, approx_model=approx))
         rows, straddles = _rows(camp["sq_chk"][f], "mean_sq_error", spec.checkpoints,
                                 [bound] * len(spec.checkpoints), allowance)
         inconclusive = inconclusive or straddles
@@ -369,8 +377,7 @@ def _robustness_entries(spec: ExperimentSpec, camp: dict, approx_models, allowan
         sup = int(np.argmax(dense_mean))
         entries.append({
             "table": rows,
-            "constants": {"c1": c.c1, "c2": c.c2, "c3": c.c3, "gap_initial": gap_initial,
-                          "gap_levels": gap_levels, "gap_rates": gap_rates, "bound": bound},
+            "constants": {**c._asdict(), **gaps, "bound": bound},
             "supplementary": {
                 "sup_estimate": float(dense_mean[sup]),
                 "sup_half_width": _stats(camp["sq_dense"][f][:, sup])[1],

@@ -66,8 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, GridMismatchError, NonPositiveEntryError, StateCollapseError
-from .models import GeneratorMatrix, ObservationMap, _check_sizes, validate_simplex
-from .simulate import ObservationPath, TimeGrid
+from .models import GeneratorMatrix, ObservationMap, _check_sizes, _checked
+from .simulate import NODE_TOL, ObservationPath, TimeGrid
 
 EULER_FLOOR = 1e-14
 # Gauge exponents c dt whose factor exp(c dt) is a normal double, as is its reciprocal.
@@ -433,8 +433,7 @@ class FilterTrajectory:
 def filter_trajectory(initial, generator: GeneratorMatrix, observation: ObservationMap,
                       obs: ObservationPath) -> FilterTrajectory:
     """Run the reference integrator over the whole grid from the given initial law."""
-    pi0 = validate_simplex(initial)
-    _check_sizes(generator, observation, pi0)
+    (pi0,) = _checked(generator, observation, [initial])
     values, log_scale = _scan_nodes(pi0, obs.increments, obs.grid.dt, generator, observation)
     return FilterTrajectory(grid=obs.grid, values=values, log_scale=log_scale, initial=pi0)
 
@@ -469,8 +468,7 @@ def wonham_step(pi, d_y, dt: float, generator: GeneratorMatrix,
 def euler_filter_trajectory(initial, generator: GeneratorMatrix, observation: ObservationMap,
                             obs: ObservationPath) -> np.ndarray:
     """Euler diagnostic route over the whole grid; returns values at every node."""
-    pi = validate_simplex(initial)
-    _check_sizes(generator, observation, pi)
+    (pi,) = _checked(generator, observation, [initial])
     values = np.empty((obs.grid.n_steps + 1, generator.d))
     values[0] = pi
     for k, d_y in enumerate(obs.increments):
@@ -498,8 +496,7 @@ def projected_filter_trajectory(initial, generator: GeneratorMatrix, observation
     kernel.  Raises StateCollapseError when a node value is not strictly
     positive and finite; never clips.
     """
-    pi = validate_simplex(initial)
-    _check_sizes(generator, observation, pi)
+    (pi,) = _checked(generator, observation, [initial])
     grid = obs.grid
     dt = grid.dt
     levels = observation.levels
@@ -547,6 +544,12 @@ class FlowMatrix:
         return self.entries.shape[0]
 
     def dense(self) -> np.ndarray:
+        """``exp(log_scale) * entries``; StateCollapseError unless the exponent lies in
+        ``_EXPONENT_RANGE``, where exp(log_scale) is a normal double."""
+        lo, hi = _EXPONENT_RANGE
+        if not lo <= self.log_scale <= hi:
+            raise StateCollapseError(f"log_scale {self.log_scale:.6g} leaves the double range of exp; "
+                                     "use entries and log_scale instead")
         return math.exp(self.log_scale) * self.entries
 
     def apply(self, vec) -> np.ndarray:
@@ -574,7 +577,7 @@ def compose_flows(later: FlowMatrix, earlier: FlowMatrix) -> FlowMatrix:
     """Chain two propagators of one state count; spans must abut."""
     if later.d != earlier.d:
         raise DimensionMismatchError(f"flows of {later.d} and {earlier.d} states do not compose")
-    if abs(later.s - earlier.t) > 1e-9:
+    if abs(later.s - earlier.t) > NODE_TOL:
         raise GridMismatchError("flow spans do not abut")
     product = later.entries @ earlier.entries
     total = product.sum()

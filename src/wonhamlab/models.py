@@ -151,6 +151,16 @@ def validate_tangent(components) -> np.ndarray:
     return _readonly(arr)
 
 
+def _checked(generator: GeneratorMatrix, observation: ObservationMap | None, laws=(), directions=()) -> list:
+    """``laws`` validated as interior simplex points, then ``directions`` as tangents,
+    then all against the model's size; returns them, laws first.  ``FilterModel``
+    and the path sampler check their own laws."""
+    laws = [validate_simplex(x) for x in laws]
+    directions = [validate_tangent(x) for x in directions]
+    _check_sizes(generator, observation, *laws, *directions)
+    return [*laws, *directions]
+
+
 @dataclass(frozen=True)
 class FilterModel:
     """One complete filtering model: initial law, rate matrix, observation levels."""
@@ -237,8 +247,7 @@ def inverse_moment_constant(initial, generator: GeneratorMatrix, observation: Ob
     smallest inflow rate into state ``i`` and ``K2_i`` collects the exit rate, the
     smallest inflow rate, and the squared observation spread seen from state ``i``.
     """
-    nu = validate_simplex(initial)
-    _check_sizes(generator, observation, nu)
+    (nu,) = _checked(generator, observation, [initial])
     if not generator.mixing:
         raise NotMixingError("inverse-moment bound needs a mixing rate matrix")
     lam = generator.entries
@@ -294,13 +303,21 @@ def robustness_constants(pair: ModelPair) -> RobustnessConstants:
     return RobustnessConstants(c1=c1, c2=c2, c3=c3)
 
 
+def _robustness_terms(pair: ModelPair) -> tuple[RobustnessConstants, dict, float]:
+    """The pair's bound constants, its parameter gaps (``gap_initial``, the l1 gap
+    between the initial laws, ``gap_levels`` and ``gap_rates``), and the bound
+    c1 * gap_initial + c2 * gap_levels + c3 * gap_rates."""
+    c = robustness_constants(pair)
+    truth, approx = pair.true_model, pair.approx_model
+    gaps = {"gap_initial": float(np.abs(approx.initial - truth.initial).sum()),
+            "gap_levels": observation_gap(truth.observation, approx.observation),
+            "gap_rates": generator_gap(truth.generator, approx.generator)}
+    return c, gaps, c.c1 * gaps["gap_initial"] + c.c2 * gaps["gap_levels"] + c.c3 * gaps["gap_rates"]
+
+
 def robustness_bound(pair: ModelPair) -> float:
     """Value of the robustness bound for the pair's parameter gaps."""
-    c = robustness_constants(pair)
-    gap_initial = float(np.abs(pair.approx_model.initial - pair.true_model.initial).sum())
-    gap_levels = observation_gap(pair.true_model.observation, pair.approx_model.observation)
-    gap_rates = generator_gap(pair.true_model.generator, pair.approx_model.generator)
-    return c.c1 * gap_initial + c.c2 * gap_levels + c.c3 * gap_rates
+    return _robustness_terms(pair)[2]
 
 
 def component_inverse_moment_bound(
@@ -312,8 +329,7 @@ def component_inverse_moment_bound(
     spread seen from ``state``.  Raises DimensionMismatchError unless ``state``
     is the whole-number index of one of the generator's states.
     """
-    nu = validate_simplex(initial)
-    _check_sizes(generator, observation, nu)
+    (nu,) = _checked(generator, observation, [initial])
     if isinstance(state, bool) or not isinstance(state, numbers.Integral) or not 0 <= state < generator.d:
         raise DimensionMismatchError(f"state {state!r} of a {generator.d}-state model")
     lam = generator.entries

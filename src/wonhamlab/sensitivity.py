@@ -33,11 +33,9 @@ from .models import (
     GeneratorMatrix,
     ModelPair,
     ObservationMap,
-    _check_sizes,
+    _checked,
     mixing_rate,
     observation_gap,
-    validate_simplex,
-    validate_tangent,
 )
 from .simulate import ObservationPath
 
@@ -111,12 +109,9 @@ def derivative_opnorm_from_flow(entries, mu) -> np.ndarray:
 
 def _checked_flow(s, t, obs: ObservationPath, generator: GeneratorMatrix, observation: ObservationMap,
                   laws, directions=()):
-    """``laws`` validated as interior simplex points and ``directions`` as tangents, all
-    checked against the model's size, in that order, then the propagator over [s, t]."""
-    laws = [validate_simplex(x) for x in laws]
-    directions = [validate_tangent(x) for x in directions]
-    _check_sizes(generator, observation, *laws, *directions)
-    return (*laws, *directions, zakai_flow(s, t, obs, generator, observation))
+    """``models._checked`` of the laws and directions, then the propagator over [s, t]."""
+    return (*_checked(generator, observation, laws, directions),
+            zakai_flow(s, t, obs, generator, observation))
 
 
 def derivative_flow(mu, v, s, t, obs: ObservationPath, generator: GeneratorMatrix,
@@ -170,17 +165,13 @@ def derivative_bound(mu, v, s, t, generator: GeneratorMatrix) -> float:
     Sum of |v_k|/mu_k, damped exponentially at the forgetting rate of the
     (mixing) rate matrix the filter runs with.  Raises GridMismatchError when t < s.
     """
-    mu = validate_simplex(mu)
-    v = validate_tangent(v)
-    _check_sizes(generator, None, mu, v)
+    mu, v = _checked(generator, None, [mu], [v])
     return float((np.abs(v) / mu).sum() * _decay(generator, s, t))
 
 
 def lipschitz_bound(mu_1, mu_2, s, t, generator: GeneratorMatrix) -> float:
     """Almost-sure bound on the l1 gap between filters restarted from two laws; needs s <= t."""
-    mu_1 = validate_simplex(mu_1)
-    mu_2 = validate_simplex(mu_2)
-    _check_sizes(generator, None, mu_1, mu_2)
+    mu_1, mu_2 = _checked(generator, None, [mu_1, mu_2])
     prefactor = float(np.maximum(1.0 / mu_1, 1.0 / mu_2).max())
     return prefactor * float(np.abs(mu_2 - mu_1).sum()) * _decay(generator, s, t)
 
@@ -195,10 +186,7 @@ def second_derivative_flow(mu, v, s, t, obs: ObservationPath, generator: Generat
 
 def second_derivative_gap_bound(mu, v, w, s, t, generator: GeneratorMatrix) -> float:
     """Almost-sure bound on the l1 gap between second derivatives along v and w; needs s <= t."""
-    mu = validate_simplex(mu)
-    v = validate_tangent(v)
-    w = validate_tangent(w)
-    _check_sizes(generator, None, mu, v, w)
+    mu, v, w = _checked(generator, None, [mu], [v, w])
     plus = (np.abs(v + w) / mu).sum()
     minus = (np.abs(v - w) / mu).sum()
     return float(2.0 * plus * minus * _decay(generator, s, t))
@@ -275,6 +263,8 @@ def derivative_records_to_csv(records, dest) -> None:
     if not records:
         raise DimensionMismatchError("no records to export: the CSV has no state dimension")
     d = records[0].direction.shape[0]
+    if any(np.shape(x) != (d,) for rec in records for x in (rec.direction, rec.value)):
+        raise DimensionMismatchError(f"every record's direction and value need {d} entries, as the first's")
     with open(dest, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

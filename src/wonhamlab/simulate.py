@@ -30,6 +30,10 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
+        for name in ("t_end", "dt"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise GridMismatchError(f"{name} must be a real number, got {value!r}")
         if not (self.dt > 0.0 and self.t_end > 0.0 and math.isfinite(self.t_end / self.dt)):
             raise GridMismatchError(f"need finite dt > 0 and t_end > 0, got dt={self.dt}, t_end={self.t_end}")
         n = round(self.t_end / self.dt)

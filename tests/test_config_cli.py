@@ -140,6 +140,28 @@ class TestRunConfig:
         assert cfg.grid.dt == 0.002
         assert cfg.strict_tolerance
 
+    @pytest.mark.parametrize("override, field", [
+        pytest.param({"trials": 150.9}, "n_trials", id="fractional-trials"),
+        pytest.param({"seed": True}, "seed", id="bool-seed"),
+        pytest.param({"strict_tolerance": "false"}, "strict_tolerance", id="string-flag"),
+        pytest.param({"seed": 2.7}, "seed", id="fractional-seed"),
+    ])
+    def test_overrides_follow_the_files_rules(self, override, field):
+        """An override is parsed as the file's field would be: no int() or bool()
+        turns 2.7 into seed 2 or the string "false" into strict mode."""
+        with pytest.raises(wl.ConfigError, match=field):
+            loads_config(GOOD_CONFIG).with_overrides(**override)
+
+    def test_whole_float_overrides_are_kept(self):
+        cfg = loads_config(GOOD_CONFIG).with_overrides(seed=150.0, trials=150.0)
+        assert cfg.master_seed == cfg.n_trials == 150
+        assert isinstance(cfg.master_seed, int) and isinstance(cfg.n_trials, int)
+
+    def test_overrides_leave_the_other_fields(self):
+        cfg = loads_config(GOOD_CONFIG)
+        assert dumps_config(cfg.with_overrides()) == dumps_config(cfg)
+        assert dumps_config(cfg.with_overrides(dt=0.002)) == dumps_config(cfg).replace("dt: 0.001", "dt: 0.002")
+
     @pytest.mark.parametrize("flag", [None, True, False])
     def test_loaded_and_overridden_configs_build_specs(self, flag):
         mapping = yaml.safe_load(GOOD_CONFIG)

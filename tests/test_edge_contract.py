@@ -256,3 +256,61 @@ def test_flows_of_different_sizes_raise_a_typed_error():
                  lambda: two.apply([[0.5, 0.5]]), lambda: two.apply(0.5)):
         with pytest.raises(wl.DimensionMismatchError):
             call()
+
+
+@pytest.mark.parametrize("log_scale", [800.0, -800.0, math.nan])
+def test_dense_flow_outside_the_double_range_is_a_typed_error(log_scale):
+    """exp(log_scale) overflows above the double range and is 0 or subnormal
+    below it: ``dense`` raises StateCollapseError, not Python's OverflowError
+    nor a zero matrix, and points to ``entries`` and ``log_scale``."""
+    flow = wl.FlowMatrix(entries=np.full((2, 2), 0.25), log_scale=log_scale, s=0.0, t=1.0)
+    with pytest.raises(wl.StateCollapseError, match="entries and log_scale"):
+        flow.dense()
+    inside = wl.FlowMatrix(flow.entries, math.copysign(700.0, log_scale), 0.0, 1.0).dense()
+    assert np.all(np.isfinite(inside)) and np.all(inside > 0.0)
+
+
+def test_dense_flow_of_a_long_spiky_path_is_a_typed_error():
+    """Levels 0 and 100 over [0, 10] give a propagator of log scale about 15126."""
+    model = wl.FilterModel.from_raw([0.5, 0.5], [[-1.0, 1.0], [1.0, -1.0]], [0.0, 100.0])
+    grid = wl.TimeGrid(10.0, 1e-3)
+    sig, noise = wl.spawn_generators(3, 2)
+    obs = wl.simulate_observations(wl.simulate_signal(model.initial, model.generator, grid, sig),
+                                   model.observation, grid, noise)
+    flow = wl.zakai_flow(0.0, 10.0, obs, model.generator, model.observation)
+    assert flow.log_scale > 15000.0 and np.all(np.isfinite(flow.entries))
+    with pytest.raises(wl.StateCollapseError):
+        flow.dense()
+
+
+@pytest.mark.parametrize("t_end, dt", [("1", 0.1), (1.0, None), (True, 0.5), (1.0, np.True_), ([1.0], 0.5)])
+def test_grid_of_non_numbers_is_a_typed_error(t_end, dt):
+    """A grid's horizon and step are real numbers, not strings, None or bools."""
+    with pytest.raises(wl.GridMismatchError):
+        wl.TimeGrid(t_end, dt)
+    assert wl.TimeGrid(np.float64(1.0), 0.5).n_steps == wl.TimeGrid(1, 0.5).n_steps == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("checkpoints", 5.0), ("checkpoints", ("a",)), ("checkpoints", (0.5, True)), ("checkpoints", None),
+    ("sweep_sizes", 0.5), ("sweep_sizes", ("0.5",)), ("sweep_sizes", (False,)),
+])
+def test_spec_lists_of_non_numbers_are_a_typed_error(ref_model, field, value):
+    """Checkpoints and sweep sizes are sequences of real numbers (bools excluded):
+    anything else is a ConfigError, not Python's TypeError."""
+    pair = wl.ModelPair(true_model=ref_model, approx_model=ref_model)
+    with pytest.raises(wl.ConfigError, match=field):
+        wl.ExperimentSpec(pair=pair, grid=wl.TimeGrid(1.0, 1e-3), n_trials=100, master_seed=1,
+                          **{field: value})
+
+
+def test_spec_keeps_a_checkpoint_within_the_node_tolerance_of_the_horizon(ref_model):
+    """A checkpoint the grid takes as its last node is kept, not silently dropped."""
+    pair = wl.ModelPair(true_model=ref_model, approx_model=ref_model)
+    grid = wl.TimeGrid(1.0, 1e-3)
+    late = 1.0 + 5e-10
+    spec = wl.ExperimentSpec(pair=pair, grid=grid, n_trials=100, master_seed=1, checkpoints=(0.5, late))
+    assert spec.checkpoints == (0.5, late) and grid.node(late) == 1000
+    far = 1.0 + 2 * wl.simulate.NODE_TOL
+    assert wl.ExperimentSpec(pair=pair, grid=grid, n_trials=100, master_seed=1,
+                             checkpoints=(0.5, far)).checkpoints == (0.5,)

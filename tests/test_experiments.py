@@ -161,9 +161,8 @@ class TestRobustnessExperiment:
         assert report.violations == 0
         assert report.supplementary["l1_dominance_violations"] == 0
         assert report.supplementary["slack_ratio"] > 1.0
-        assert report.constants["bound"] == pytest.approx(
-            wl.robustness_bound(small_pair), rel=1e-12
-        )
+        # One composition of the bound: the report's is the public one, exactly.
+        assert report.constants["bound"] == wl.robustness_bound(small_pair)
         assert not report.supplementary["escalated"]
 
     def test_initial_condition_only_error_decays(self, ref_model):
@@ -197,7 +196,7 @@ def _straddle(row, key):
 def _force_robustness(monkeypatch, report):
     target = _straddle(report.table[-1], "mean_sq_error")
     c1 = target / report.constants["gap_initial"]
-    monkeypatch.setattr(experiments, "robustness_constants", lambda pair: wl.RobustnessConstants(c1, 0.0, 0.0))
+    monkeypatch.setattr(wl.models, "robustness_constants", lambda pair: wl.RobustnessConstants(c1, 0.0, 0.0))
 
 
 def _force_forgetting(monkeypatch, report):
@@ -368,6 +367,9 @@ class TestConvergenceSweep:
         # halving the perturbation roughly halves the error; wide factor 3
         for ratio in report.supplementary["halving_ratios"]:
             assert ratio["error_ratio"] < 3.0 * 4.0
+        for entry in report.table:
+            pair = wl.interpolate_pair(small_pair, entry["size"], spec.sweep_components)
+            assert entry["bound"] == wl.robustness_bound(pair)
 
     def test_size_zero_shares_the_truths_filter(self, small_pair, monkeypatch):
         stacks = []

@@ -450,6 +450,23 @@ class TestDerivativeRecords:
         assert len(lines) == 2
         assert "flow" in lines[1]
 
+    @pytest.mark.parametrize("direction, value", [
+        pytest.param([0.2, -0.1, -0.1], [0.1, -0.05, -0.05], id="three-states"),
+        pytest.param([0.5, -0.5], [0.1, -0.05, -0.05], id="three-values"),
+        pytest.param([[0.5, -0.5]], [[0.1, -0.1]], id="rows"),
+    ])
+    def test_ragged_records_are_a_typed_error(self, tmp_path, direction, value):
+        """A record whose direction or value has not the first direction's size
+        would write a row that does not fit the header; no file is written."""
+        first = wl.DerivativeRecord(direction=np.array([0.5, -0.5]), value=np.array([0.1, -0.1]),
+                                    route="flow", s=0.0, t=1.0)
+        odd = wl.DerivativeRecord(direction=np.array(direction), value=np.array(value),
+                                  route="flow", s=0.0, t=1.0)
+        dest = tmp_path / "records.csv"
+        with pytest.raises(wl.DimensionMismatchError):
+            wl.derivative_records_to_csv([first, odd], dest)
+        assert not dest.exists()
+
     def test_no_records_is_a_typed_error(self, tmp_path):
         """With no records the CSV has no state dimension, and no file is written."""
         dest = tmp_path / "records.csv"
