@@ -67,12 +67,8 @@ def write_report(report: ExperimentReport, out_dir: Path) -> tuple[Path, Path]:
 
 def _cmd_run(args) -> int:
     try:
-        config = load_config(args.config).with_overrides(
-            seed=args.seed,
-            trials=args.trials,
-            dt=args.dt,
-            strict_tolerance=True if args.strict_tolerance else None,
-        )
+        config = load_config(args.config, seed=args.seed, trials=args.trials, dt=args.dt,
+                             strict_tolerance=args.strict_tolerance or None)
         report = run_experiment(args.experiment, config.to_spec())
         json_path, csv_path = write_report(report, Path(args.out))
     except WonhamLabError as exc:

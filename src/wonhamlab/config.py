@@ -21,133 +21,99 @@ One YAML file describes one model pair plus experiment defaults:
       sweep_components: [initial, generator]   # optional
       strict_tolerance: false                  # optional
 
-Matrices are row lists.  Scalar fields can be overridden from the command line.
-Fields are not coerced: the trial count and the seed must be whole numbers,
-the flag true or false, and the checkpoints, sweep sizes and components lists;
-anything else raises ConfigError.  ``RunConfig.with_overrides`` writes each
-override into the parsed file and parses it again, so an override obeys the
-same rules: a seed of 150.0 is kept as 150, and 2.7, True or "false" raise.
+Matrices are row lists.  The file parser holds the layout only: the sections,
+the keys ``seed`` and ``sweep`` for the spec's ``master_seed`` and
+``sweep_sizes``, and the defaults of 100 trials and seed 0.  Every value rule
+belongs to ``ExperimentSpec``, ``TimeGrid`` and ``FilterModel``, which take
+each field as written: nothing is coerced, so a string, a bool or None where a
+number, a list or a flag belongs raises a typed error.  The one rule of the
+file's own is that a whole float trial count or seed, such as 150.0, is kept
+as 150.  ``load_config`` writes each command-line override into the parsed
+file before that one parse, so an override obeys the same rules and the run
+is checked once, as a whole.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import yaml
 
 from .errors import ConfigError, WonhamLabError
-from .experiments import _SWEEP_COMPONENTS, DEFAULT_CHECKPOINTS, ExperimentSpec, _model_lists
+from .experiments import ExperimentSpec, spec_to_mapping
 from .models import FilterModel, ModelPair
 from .simulate import TimeGrid
 
-
-def _whole(section: dict, key: str, default: int) -> int:
-    value = section.get(key, default)
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole:
-        raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
+# The experiment section's keys and the spec fields they set.
+_EXPERIMENT_KEYS = {"n_trials": "n_trials", "seed": "master_seed", "checkpoints": "checkpoints",
+                    "sweep": "sweep_sizes", "sweep_components": "sweep_components",
+                    "strict_tolerance": "strict_tolerance"}
 
 
-def _flag(section: dict, key: str, default: bool) -> bool:
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _listed(section: dict, key: str, default=None):
-    value = section.get(key, default)
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return value
+def _whole(value):
+    """A whole float as its int, so 150.0 trials are 150; any other value as written."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed and validated contents of one configuration file."""
+    """The experiment spec that one configuration file describes."""
 
-    pair: ModelPair
-    grid: TimeGrid
-    n_trials: int
-    master_seed: int
-    checkpoints: tuple
-    sweep_sizes: tuple | None
-    sweep_components: tuple
-    strict_tolerance: bool
+    spec: ExperimentSpec
 
     @classmethod
     def from_mapping(cls, mapping) -> "RunConfig":
+        """Parse a file's mapping, whose sections ``loads_config`` has checked are mappings."""
         try:
-            model = mapping["model"]
-            approx = mapping["approx"]
-            grid = mapping["grid"]
-            experiment = mapping.get("experiment", {})
-            pair = ModelPair(
-                true_model=FilterModel.from_raw(model["initial"], model["generator"], model["levels"]),
-                approx_model=FilterModel.from_raw(approx["initial"], approx["generator"], approx["levels"]),
-            )
-            time_grid = TimeGrid(t_end=float(grid["t_end"]), dt=float(grid["dt"]))
-            sweep = experiment.get("sweep")
-            return cls(
-                pair=pair,
-                grid=time_grid,
-                n_trials=_whole(experiment, "n_trials", 100),
-                master_seed=_whole(experiment, "seed", 0),
-                checkpoints=tuple(float(c) for c in _listed(experiment, "checkpoints", DEFAULT_CHECKPOINTS)),
-                sweep_sizes=None if sweep is None else tuple(float(s) for s in _listed(experiment, "sweep")),
-                sweep_components=tuple(_listed(experiment, "sweep_components", _SWEEP_COMPONENTS)),
-                strict_tolerance=_flag(experiment, "strict_tolerance", False),
-            )
+            true_model, approx_model = (FilterModel.from_raw(m["initial"], m["generator"], m["levels"])
+                                        for m in (mapping["model"], mapping["approx"]))
+            grid, experiment = mapping["grid"], mapping.get("experiment", {})
+            fields = {name: experiment[key] for key, name in _EXPERIMENT_KEYS.items() if key in experiment}
+            return cls(ExperimentSpec(
+                pair=ModelPair(true_model=true_model, approx_model=approx_model),
+                grid=TimeGrid(t_end=grid["t_end"], dt=grid["dt"]),
+                **{**fields, "n_trials": _whole(fields.get("n_trials", 100)),
+                   "master_seed": _whole(fields.get("master_seed", 0))},
+            ))
         except WonhamLabError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid configuration: {exc!r}") from exc
 
     def to_mapping(self) -> dict:
-        experiment = {
-            "n_trials": self.n_trials,
-            "seed": self.master_seed,
-            "checkpoints": [float(c) for c in self.checkpoints],
-            "sweep_components": list(self.sweep_components),
-            "strict_tolerance": self.strict_tolerance,
-        }
-        if self.sweep_sizes is not None:
-            experiment["sweep"] = [float(s) for s in self.sweep_sizes]
-        return {
-            "model": _model_lists(self.pair.true_model),
-            "approx": _model_lists(self.pair.approx_model),
-            "grid": {"t_end": float(self.grid.t_end), "dt": float(self.grid.dt)},
-            "experiment": experiment,
-        }
-
-    def with_overrides(self, *, seed=None, trials=None, dt=None, strict_tolerance=None) -> "RunConfig":
-        """This config with each given field written into its mapping and parsed
-        again, so an override obeys the file's own rules."""
-        mapping = self.to_mapping()
-        for section, key, value in (("experiment", "seed", seed), ("experiment", "n_trials", trials),
-                                    ("grid", "dt", dt), ("experiment", "strict_tolerance", strict_tolerance)):
-            if value is not None:
-                mapping[section][key] = value
-        return RunConfig.from_mapping(mapping)
+        """The spec in the file's layout, for ``dumps_config``."""
+        echo = spec_to_mapping(self.spec)
+        # The report echo writes the flag as 0 or 1, which the spec rejects.
+        echo["strict_tolerance"] = bool(self.spec.strict_tolerance)
+        experiment = {key: echo[name] for key, name in _EXPERIMENT_KEYS.items() if echo[name] is not None}
+        return {**{name: echo[name] for name in ("model", "approx", "grid")}, "experiment": experiment}
 
     def to_spec(self) -> ExperimentSpec:
-        return ExperimentSpec(**{f.name: getattr(self, f.name) for f in fields(ExperimentSpec)})
+        return self.spec
 
 
-def loads_config(text: str) -> RunConfig:
+def loads_config(text: str, *, seed=None, trials=None, dt=None, strict_tolerance=None) -> RunConfig:
+    """Parse one configuration file's text, each given override written over its
+    field first, so the file and its overrides are checked once, as one run."""
     try:
         mapping = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse configuration: {exc}") from exc
     if not isinstance(mapping, dict):
         raise ConfigError("configuration must be a mapping")
+    for name in ("model", "approx", "grid", "experiment"):
+        if name in mapping and not isinstance(mapping[name], dict):
+            raise ConfigError(f"section {name} must be a mapping, got {mapping[name]!r}")
+    for section, key, value in (("experiment", "seed", seed), ("experiment", "n_trials", trials),
+                                ("grid", "dt", dt), ("experiment", "strict_tolerance", strict_tolerance)):
+        if value is not None:
+            mapping.setdefault(section, {})[key] = value
     return RunConfig.from_mapping(mapping)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, **overrides) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_config(fh.read())
+        return loads_config(fh.read(), **overrides)
 
 
 def dumps_config(config: RunConfig) -> str:

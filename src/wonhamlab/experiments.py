@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -42,6 +41,7 @@ from .filters import (
 from .models import (
     FilterModel,
     ModelPair,
+    _is_real,
     _robustness_terms,
     inverse_moment_constant,
     mixing_rate,
@@ -113,7 +113,7 @@ class ExperimentSpec:
         nodes = [self.grid.node(c) for c in kept]
         if len(set(nodes)) < len(nodes):
             raise ConfigError("two checkpoints fall on the same grid node")
-        object.__setattr__(self, "checkpoints", tuple(sorted(kept)))
+        object.__setattr__(self, "checkpoints", tuple(sorted(float(c) for c in kept)))
         if self.sweep_sizes is not None:
             sizes = tuple(float(s) for s in _reals("sweep_sizes", self.sweep_sizes))
             decreasing = list(sizes) == sorted(sizes, reverse=True)
@@ -121,6 +121,7 @@ class ExperimentSpec:
                 raise ConfigError("sweep sizes must be nonempty, decreasing and lie in (0, 1]")
             object.__setattr__(self, "sweep_sizes", sizes)
         _check_components(self.sweep_components)
+        object.__setattr__(self, "sweep_components", tuple(self.sweep_components))
         if self.grid.dt > BOUND_GRADE_DT:
             warnings.warn(
                 f"dt={self.grid.dt} exceeds the bound-verification step {BOUND_GRADE_DT}; "
@@ -197,18 +198,18 @@ def _report(experiment: str, spec: ExperimentSpec, n_trials: int, **parts) -> Ex
 
 
 def _reals(name: str, values) -> tuple:
-    """``values`` as a tuple; ConfigError unless they are real numbers other than bools."""
-    try:
-        items = tuple(values)
-    except TypeError:
-        items = None
-    if items is None or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
-        raise ConfigError(f"{name} must be a sequence of real numbers, got {values!r}")
-    return items
+    """``values`` as a tuple; ConfigError unless they are a list or tuple of real
+    numbers other than bools."""
+    if not isinstance(values, (list, tuple)) or not all(_is_real(v) for v in values):
+        raise ConfigError(f"{name} must be a list or tuple of real numbers, got {values!r}")
+    return tuple(values)
 
 
 def _check_components(components) -> None:
-    """Raise ConfigError unless ``components`` names one or more sweep components."""
+    """Raise ConfigError unless ``components`` is a list or tuple naming one or
+    more sweep components."""
+    if not isinstance(components, (list, tuple)):
+        raise ConfigError(f"sweep_components must be a list or tuple, got {components!r}")
     # Compared, not hashed or sorted: a YAML list may hold a list or a number.
     unknown = [c for c in components if c not in _SWEEP_COMPONENTS]
     if unknown or not components:

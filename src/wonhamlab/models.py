@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import (
     BoundaryInitialConditionError,
+    ConfigError,
     DimensionMismatchError,
+    GridMismatchError,
     NegativeOffDiagonalError,
     NonSquareError,
     NonzeroRowSumError,
@@ -26,6 +28,11 @@ from .errors import (
 ROW_SUM_TOL = 1e-12
 SIMPLEX_TOL = 1e-10
 TANGENT_TOL = 1e-10
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number other than a bool (numpy's bool is no number)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -327,11 +334,18 @@ def component_inverse_moment_bound(
 
     Grows like ``exp(power * exit_rate * t)`` corrected by the squared observation
     spread seen from ``state``.  Raises DimensionMismatchError unless ``state``
-    is the whole-number index of one of the generator's states.
+    is the whole-number index of one of the generator's states,
+    GridMismatchError unless ``t`` is a finite time >= 0, and ConfigError
+    unless ``power`` is a finite real number > 0 (a negative power would ask
+    for a bound on a moment, not an inverse moment).
     """
     (nu,) = _checked(generator, observation, [initial])
     if isinstance(state, bool) or not isinstance(state, numbers.Integral) or not 0 <= state < generator.d:
         raise DimensionMismatchError(f"state {state!r} of a {generator.d}-state model")
+    if not (_is_real(t) and 0.0 <= t < np.inf):
+        raise GridMismatchError(f"need a finite time t >= 0, got {t!r}")
+    if not (_is_real(power) and 0.0 < power < np.inf):
+        raise ConfigError(f"power must be a finite real number > 0, got {power!r}")
     lam = generator.entries
     h = observation.levels
     gap_sq = float(np.max((h[state] - h) ** 2))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AbsorbingStateError, ConfigError, DimensionMismatchError, GridMismatchError
-from .models import GeneratorMatrix, ObservationMap, _check_sizes, validate_simplex
+from .models import GeneratorMatrix, ObservationMap, _check_sizes, _is_real, validate_simplex
 
 NODE_TOL = 1e-9
 
@@ -32,8 +32,9 @@ class TimeGrid:
     def __post_init__(self):
         for name in ("t_end", "dt"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise GridMismatchError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not (self.dt > 0.0 and self.t_end > 0.0 and math.isfinite(self.t_end / self.dt)):
             raise GridMismatchError(f"need finite dt > 0 and t_end > 0, got dt={self.dt}, t_end={self.t_end}")
         n = round(self.t_end / self.dt)
@@ -49,9 +50,10 @@ class TimeGrid:
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
     def node(self, t: float) -> int:
-        """Index of the grid node at time t; raises if t is off the grid."""
-        if not math.isfinite(t):
-            raise GridMismatchError(f"t={t} is not a node of the grid (dt={self.dt})")
+        """Index of the grid node at time t; raises if t is off the grid or is
+        not a real number (bools excluded), as the grid's own fields."""
+        if not (_is_real(t) and math.isfinite(t)):
+            raise GridMismatchError(f"t={t!r} is not a node of the grid (dt={self.dt})")
         idx = round(t / self.dt)
         if idx < 0 or idx > self.n_steps or abs(idx * self.dt - t) > NODE_TOL:
             raise GridMismatchError(f"t={t} is not a node of the grid (dt={self.dt})")
@@ -108,10 +110,11 @@ class ObservationPath:
     grid: TimeGrid
 
     def __post_init__(self):
-        if self.increments.shape != (self.grid.n_steps,):
-            raise GridMismatchError(
-                f"got {self.increments.shape[0]} increments for {self.grid.n_steps} cells"
-            )
+        increments, n = self.increments, self.grid.n_steps
+        if not isinstance(increments, np.ndarray) or increments.shape != (n,):
+            got = (f"shape {increments.shape}" if isinstance(increments, np.ndarray)
+                   else type(increments).__name__)
+            raise GridMismatchError(f"need an array of shape ({n},), one increment per cell, got {got}")
         if not np.all(np.isfinite(self.increments)):
             raise GridMismatchError("non-finite observation increment")
 

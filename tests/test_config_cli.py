@@ -1,6 +1,7 @@
 import json
 import re
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,17 @@ def with_experiment_field(field, value):
     return yaml.safe_dump(mapping)
 
 
+def with_section(name, value):
+    """GOOD_CONFIG with the section ``name`` set to the YAML text ``value``."""
+    mapping = yaml.safe_load(GOOD_CONFIG)
+    mapping[name] = yaml.safe_load(value)
+    return yaml.safe_dump(mapping)
+
+
+WHOLE_VALUED_CONFIG = GOOD_CONFIG.replace("t_end: 2.0", "t_end: 2").replace(
+    "checkpoints: [0.0, 1.0, 2.0]", "checkpoints: [0, 1, 2]")
+
+
 @pytest.fixture()
 def config_file(tmp_path):
     path = tmp_path / "run.yaml"
@@ -68,10 +80,10 @@ class TestRunConfig:
 
     def test_parse_and_fields(self):
         cfg = loads_config(GOOD_CONFIG)
-        assert cfg.n_trials == 100
-        assert cfg.master_seed == 2026
-        assert cfg.grid.t_end == 2.0
-        assert cfg.pair.approx_model.initial == pytest.approx([0.3, 0.7])
+        assert cfg.spec.n_trials == 100
+        assert cfg.spec.master_seed == 2026
+        assert cfg.spec.grid.t_end == 2.0
+        assert cfg.spec.pair.approx_model.initial == pytest.approx([0.3, 0.7])
 
     def test_round_trip_is_semantically_identical(self):
         for source in (GOOD_CONFIG, with_experiment_field("sweep", "[0.2, 0.1]")):
@@ -91,9 +103,9 @@ class TestRunConfig:
         minimal = yaml.safe_load(GOOD_CONFIG)
         del minimal["experiment"]
         cfg = loads_config(yaml.safe_dump(minimal))
-        assert cfg.n_trials == 100
-        assert cfg.master_seed == 0
-        assert cfg.sweep_sizes is None
+        assert cfg.spec.n_trials == 100
+        assert cfg.spec.master_seed == 0
+        assert cfg.spec.sweep_sizes is None
 
     def test_parse_errors(self):
         with pytest.raises(wl.ConfigError):
@@ -119,13 +131,57 @@ class TestRunConfig:
         with pytest.raises(wl.ConfigError, match=field):
             loads_config(with_experiment_field(field, value))
 
+    @pytest.mark.parametrize("section, field, value, error", [
+        ("grid", "dt", '"0.001"', wl.GridMismatchError),
+        ("grid", "dt", "true", wl.GridMismatchError),
+        ("grid", "t_end", "true", wl.GridMismatchError),
+        ("experiment", "sweep", "[true]", wl.ConfigError),
+        ("experiment", "sweep", '["0.5"]', wl.ConfigError),
+        ("experiment", "checkpoints", "[0, 1, true]", wl.ConfigError),
+        ("experiment", "checkpoints", "{0.0: a, 2.0: b}", wl.ConfigError),
+    ])
+    def test_grid_and_list_entries_are_not_coerced(self, section, field, value, error):
+        """A string or a bool is no step, horizon, sweep size or checkpoint."""
+        mapping = yaml.safe_load(GOOD_CONFIG)
+        mapping[section][field] = yaml.safe_load(value)
+        with pytest.raises(error, match=field):
+            loads_config(yaml.safe_dump(mapping))
+
+    @pytest.mark.parametrize("name, value, overrides", [
+        ("experiment", "", {}),
+        ("experiment", "[1]", {}),
+        ("experiment", "5", {}),
+        ("experiment", "", {"seed": 3}),
+        ("grid", "", {"dt": 0.005}),
+        ("model", "[1]", {}),
+    ])
+    def test_a_section_that_is_not_a_mapping_is_a_typed_error(self, name, value, overrides):
+        with pytest.raises(wl.ConfigError, match=f"section {name} must be a mapping"):
+            loads_config(with_section(name, value), **overrides)
+
+    def test_whole_valued_file_matches_its_float_twin(self, tmp_path):
+        """A horizon of 2 and checkpoints (0, 1, 2) give the spec, and the report,
+        of 2.0 and (0.0, 1.0, 2.0)."""
+        config, twin = loads_config(WHOLE_VALUED_CONFIG), loads_config(GOOD_CONFIG)
+        assert dumps_config(config) == dumps_config(twin)
+        spec = config.to_spec()
+        assert (spec.grid, spec.checkpoints) == (twin.to_spec().grid, twin.to_spec().checkpoints)
+        assert all(type(x) is float for x in (spec.grid.t_end, spec.grid.dt, *spec.checkpoints))
+        for name, text in (("ints", WHOLE_VALUED_CONFIG), ("floats", GOOD_CONFIG)):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(text)
+            assert main(["run", str(path), "inverse-moment", "--out", str(tmp_path / name)]) == 0
+        for suffix in ("json", "csv"):
+            report = f"inverse-moment-2026.{suffix}"
+            assert (tmp_path / "ints" / report).read_bytes() == (tmp_path / "floats" / report).read_bytes()
+
     def test_whole_floats_and_real_flags_are_kept(self):
         mapping = yaml.safe_load(GOOD_CONFIG)
         mapping["experiment"].update(n_trials=150.0, strict_tolerance=True, sweep_components=["initial"])
         cfg = loads_config(yaml.safe_dump(mapping))
-        assert cfg.n_trials == 150 and isinstance(cfg.n_trials, int)
-        assert cfg.strict_tolerance is True
-        assert cfg.sweep_components == ("initial",)
+        assert cfg.spec.n_trials == 150 and isinstance(cfg.spec.n_trials, int)
+        assert cfg.spec.strict_tolerance is True
+        assert cfg.spec.sweep_components == ("initial",)
 
     def test_model_validation_errors_surface(self):
         bad = GOOD_CONFIG.replace("[[-1.0, 1.0], [1.0, -1.0]]", "[[-1.0, 2.0], [1.0, -1.0]]")
@@ -133,12 +189,11 @@ class TestRunConfig:
             loads_config(bad)
 
     def test_overrides(self):
-        cfg = loads_config(GOOD_CONFIG).with_overrides(seed=9, trials=256, dt=0.002,
-                                                       strict_tolerance=True)
-        assert cfg.master_seed == 9
-        assert cfg.n_trials == 256
-        assert cfg.grid.dt == 0.002
-        assert cfg.strict_tolerance
+        spec = loads_config(GOOD_CONFIG, seed=9, trials=256, dt=0.002, strict_tolerance=True).spec
+        assert spec.master_seed == 9
+        assert spec.n_trials == 256
+        assert spec.grid.dt == 0.002
+        assert spec.strict_tolerance
 
     @pytest.mark.parametrize("override, field", [
         pytest.param({"trials": 150.9}, "n_trials", id="fractional-trials"),
@@ -150,27 +205,45 @@ class TestRunConfig:
         """An override is parsed as the file's field would be: no int() or bool()
         turns 2.7 into seed 2 or the string "false" into strict mode."""
         with pytest.raises(wl.ConfigError, match=field):
-            loads_config(GOOD_CONFIG).with_overrides(**override)
+            loads_config(GOOD_CONFIG, **override)
+
+    @pytest.mark.parametrize("dt", ["0.001", True])
+    def test_grid_overrides_are_not_coerced(self, dt):
+        with pytest.raises(wl.GridMismatchError, match="dt"):
+            loads_config(GOOD_CONFIG, dt=dt)
+
+    @pytest.mark.parametrize("old, new, overrides", [
+        ("n_trials: 100", "n_trials: 50", {"trials": 200}),
+        ("n_trials: 100", "n_trials: 150.9", {"trials": 200}),
+        ("dt: 0.001", "dt: 0.02", {"dt": 0.005}),
+    ], ids=["too-few-trials", "fractional-trials", "coarse-step"])
+    def test_an_override_replaces_the_file_value_before_the_check(self, old, new, overrides):
+        """The run is checked once, with its overrides: a file value that an
+        override replaces neither raises nor warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = loads_config(GOOD_CONFIG.replace(old, new), **overrides).spec
+        assert (spec.n_trials, spec.grid.dt) == (overrides.get("trials", 100), overrides.get("dt", 0.001))
 
     def test_whole_float_overrides_are_kept(self):
-        cfg = loads_config(GOOD_CONFIG).with_overrides(seed=150.0, trials=150.0)
-        assert cfg.master_seed == cfg.n_trials == 150
-        assert isinstance(cfg.master_seed, int) and isinstance(cfg.n_trials, int)
+        spec = loads_config(GOOD_CONFIG, seed=150.0, trials=150.0).spec
+        assert spec.master_seed == spec.n_trials == 150
+        assert isinstance(spec.master_seed, int) and isinstance(spec.n_trials, int)
 
     def test_overrides_leave_the_other_fields(self):
-        cfg = loads_config(GOOD_CONFIG)
-        assert dumps_config(cfg.with_overrides()) == dumps_config(cfg)
-        assert dumps_config(cfg.with_overrides(dt=0.002)) == dumps_config(cfg).replace("dt: 0.001", "dt: 0.002")
+        text = dumps_config(loads_config(GOOD_CONFIG))
+        assert dumps_config(loads_config(GOOD_CONFIG, seed=None)) == text
+        assert dumps_config(loads_config(GOOD_CONFIG, dt=0.002)) == text.replace("dt: 0.001", "dt: 0.002")
 
     @pytest.mark.parametrize("flag", [None, True, False])
     def test_loaded_and_overridden_configs_build_specs(self, flag):
         mapping = yaml.safe_load(GOOD_CONFIG)
         if flag is not None:
             mapping["experiment"]["strict_tolerance"] = flag
-        cfg = loads_config(yaml.safe_dump(mapping))
-        assert cfg.to_spec().strict_tolerance is bool(flag)
+        text = yaml.safe_dump(mapping)
+        assert loads_config(text).to_spec().strict_tolerance is bool(flag)
         for override in (None, True, False):
-            spec = cfg.with_overrides(strict_tolerance=override).to_spec()
+            spec = loads_config(text, strict_tolerance=override).to_spec()
             assert spec.strict_tolerance is (bool(flag) if override is None else override)
 
 
@@ -248,6 +321,23 @@ class TestCliRun:
         assert code == 1
         assert f"error: {error}" in capsys.readouterr().err
         assert not list(tmp_path.glob("inverse-moment-*"))
+
+    @pytest.mark.parametrize("source, flags, error", [
+        (with_section("experiment", ""), [], "ConfigError"),
+        (with_section("experiment", "[1]"), [], "ConfigError"),
+        (with_section("experiment", "5"), [], "ConfigError"),
+        (with_section("grid", ""), ["--dt", "0.005"], "ConfigError"),
+        (GOOD_CONFIG.replace("dt: 0.001", 'dt: "0.001"'), [], "GridMismatchError"),
+        (GOOD_CONFIG.replace("t_end: 2.0", "t_end: true"), [], "GridMismatchError"),
+    ], ids=["empty-experiment", "list-experiment", "number-experiment", "empty-grid-with-dt",
+            "string-dt", "bool-t-end"])
+    def test_malformed_section_or_grid_exits_one(self, tmp_path, capsys, source, flags, error):
+        path = tmp_path / "malformed.yaml"
+        path.write_text(source)
+        code = main(["run", str(path), "forgetting", "--out", str(tmp_path), *flags])
+        assert code == 1
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("forgetting-*"))
 
     @pytest.mark.parametrize("field, value", [("strict_tolerance", '"false"'), ("n_trials", "150.9"),
                                               ("seed", "3.7"), ("sweep_components", "initial")])

@@ -314,3 +314,53 @@ def test_spec_keeps_a_checkpoint_within_the_node_tolerance_of_the_horizon(ref_mo
     far = 1.0 + 2 * wl.simulate.NODE_TOL
     assert wl.ExperimentSpec(pair=pair, grid=grid, n_trials=100, master_seed=1,
                              checkpoints=(0.5, far)).checkpoints == (0.5,)
+
+
+@pytest.mark.parametrize("time", ["0", None, True, np.True_, [0.5]])
+def test_a_time_that_is_not_a_real_number_is_a_typed_error(ref_model, time):
+    """A grid node is asked for by a real number, bools excluded, as the grid's
+    own fields: not Python's TypeError, and True is not node 100."""
+    grid = wl.TimeGrid(1.0, 0.01)
+    obs = wl.simulate_observations(wl.simulate_signal(ref_model.initial, ref_model.generator, grid, 1),
+                                   ref_model.observation, grid, 2)
+    trajectory = wl.filter_trajectory(ref_model.initial, ref_model.generator, ref_model.observation, obs)
+    for call in (lambda: grid.node(time), lambda: trajectory.at(time),
+                 lambda: wl.zakai_flow(time, 0.5, obs, ref_model.generator, ref_model.observation),
+                 lambda: wl.zakai_flow(0.0, time, obs, ref_model.generator, ref_model.observation)):
+        with pytest.raises(wl.GridMismatchError, match="not a node"):
+            call()
+    assert grid.node(np.float64(0.5)) == grid.node(1) // 2 == 50
+
+
+@pytest.mark.parametrize("increments, got", [
+    pytest.param(np.array(0.5), "shape ()", id="0-d"),
+    pytest.param([0.0] * 10, "list", id="list"),
+    pytest.param(np.zeros((10, 1)), r"shape \(10, 1\)", id="column"),
+    pytest.param(np.zeros(9), r"shape \(9,\)", id="short"),
+])
+def test_observation_increments_of_another_shape_are_a_typed_error(increments, got):
+    """An observation path holds a flat array of one increment per cell; anything
+    else is a GridMismatchError that states what it got, not an IndexError, an
+    AttributeError or "10 increments for 10 cells" for a (10, 1) column."""
+    with pytest.raises(wl.GridMismatchError, match=rf"\(10,\).*got {got}"):
+        wl.ObservationPath(increments, wl.TimeGrid(0.1, 0.01))
+
+
+@pytest.mark.parametrize("power, t, error", [
+    pytest.param(2, math.nan, wl.GridMismatchError, id="t-nan"),
+    pytest.param(2, math.inf, wl.GridMismatchError, id="t-inf"),
+    pytest.param(2, -1.0, wl.GridMismatchError, id="t-negative"),
+    pytest.param(2, "1", wl.GridMismatchError, id="t-string"),
+    pytest.param(-1, 1.0, wl.ConfigError, id="power-negative"),
+    pytest.param(0, 1.0, wl.ConfigError, id="power-zero"),
+    pytest.param(True, 1.0, wl.ConfigError, id="power-bool"),
+    pytest.param(math.nan, 1.0, wl.ConfigError, id="power-nan"),
+    pytest.param("2", 1.0, wl.ConfigError, id="power-string"),
+])
+def test_inverse_moment_bound_outside_its_domain_is_a_typed_error(ref_model, power, t, error):
+    """The bound holds for a power > 0 at a finite time >= 0; elsewhere its
+    formula is no bound (power -1 gives 0.18 at t = 1, below E[pi_t^0] = 0.5)."""
+    parts = (ref_model.initial, ref_model.generator, ref_model.observation, 0)
+    with pytest.raises(error):
+        wl.component_inverse_moment_bound(*parts, power, t)
+    assert wl.component_inverse_moment_bound(*parts, 1.5, 0) == pytest.approx(0.5 ** -1.5)

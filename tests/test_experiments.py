@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -108,6 +109,18 @@ class TestExperimentSpec:
     @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
     def test_accepts_bool_strict_tolerance(self, small_pair, value):
         assert make_spec(small_pair, strict_tolerance=value).strict_tolerance == value
+
+    def test_whole_numbers_are_stored_as_a_files_floats(self, small_pair):
+        """An int grid and int checkpoints are stored, and echoed in a report, as
+        the floats a YAML file gives; a components list is stored as a tuple."""
+        spec = wl.ExperimentSpec(pair=small_pair, grid=wl.TimeGrid(2, 1e-3), n_trials=100, master_seed=1,
+                                 checkpoints=(0, 1, 2), sweep_components=["initial"])
+        twin = make_spec(small_pair, t_end=2.0, n_trials=100, seed=1, checkpoints=(0.0, 1.0, 2.0),
+                         sweep_components=("initial",))
+        assert all(type(x) is float for x in (spec.grid.t_end, spec.grid.dt, *spec.checkpoints))
+        assert spec.sweep_components == ("initial",)
+        echo = [json.dumps(experiments.spec_to_mapping(s), sort_keys=True) for s in (spec, twin)]
+        assert echo[0] == echo[1]
 
 
 class TestInterpolatePair:
