@@ -41,6 +41,7 @@ from .filters import (
 from .models import (
     FilterModel,
     ModelPair,
+    _is_finite_real,
     _is_real,
     _robustness_terms,
     inverse_moment_constant,
@@ -105,7 +106,7 @@ class ExperimentSpec:
                 f"need at least {MIN_TRIALS} trials for reported statistics, got {self.n_trials}"
             )
         checkpoints = _reals("checkpoints", self.checkpoints)
-        if not all(math.isfinite(c) for c in checkpoints):
+        if not all(map(_is_finite_real, checkpoints)):
             raise ConfigError(f"checkpoints must be finite, got {list(checkpoints)}")
         kept = tuple(c for c in checkpoints if c <= self.grid.t_end + NODE_TOL)
         if not kept:
@@ -259,8 +260,16 @@ def _allowance(spec: ExperimentSpec) -> float:
 
 
 def _stats(samples: np.ndarray) -> tuple[float, float]:
-    """Mean and 3-sigma CLT half width along the trial axis (at least MIN_TRIALS)."""
-    return float(samples.mean()), 3.0 * float(samples.std(ddof=1)) / math.sqrt(samples.shape[0])
+    """Mean and 3-sigma CLT half width along the trial axis (at least MIN_TRIALS).
+
+    Both are taken on the samples scaled by the power of two of their largest
+    magnitude, and scaled back: squared deviations of samples near the top of
+    the double range stay finite, and the scaling is exact for normal doubles,
+    so other samples keep their bits."""
+    _, exp = math.frexp(float(np.abs(samples).max()))
+    scaled = np.ldexp(samples, -exp)
+    return (float(np.ldexp(scaled.mean(), exp)),
+            3.0 * float(np.ldexp(scaled.std(ddof=1), exp)) / math.sqrt(samples.shape[0]))
 
 
 def _dense_nodes(grid: TimeGrid) -> np.ndarray:
@@ -282,7 +291,11 @@ def _campaign(spec: ExperimentSpec, models, n_trials: int, excursion_bound=None)
     record's dense and checkpoint columns come back as C-ordered copies: the layout
     fixes the means' summation order.  ``excursion_bound`` (one value per grid node)
     also counts, on each block of nodes where it lies, the (trial, node) pairs whose
-    l1 gap exceeds it.  Each distinct model runs once: one whose initial law, rate
+    l1 gap exceeds it (or is NaN).  The block's l1 gaps are summed state by state,
+    and the pairs within 2 d eps of their bound, where a different summation order
+    could cross it, are recounted with ``sum(axis=-1)`` over the state axis: the
+    count is that of ``sum(axis=-1)`` at every node, whatever order numpy sums
+    in.  Each distinct model runs once: one whose initial law, rate
     matrix and levels are bytewise equal to an earlier one's shares that filter.
     """
     truth = spec.pair.true_model
@@ -303,12 +316,25 @@ def _campaign(spec: ExperimentSpec, models, n_trials: int, excursion_bound=None)
     filters = [(m.initial, m.generator, m.observation)
                for m in (models[rows.index(r)] for r in range(len(row_of)))]
     later = rows[1:] if len(row_of) < len(models) else slice(1, None)  # a view when no row repeats
+    d = spec.pair.d
+    band = 2 * d * np.finfo(float).eps
     lo = 0
     for block in _lockstep(filters, increments, grid.dt):
-        nodes = block.reshape(len(block), n_trials, -1, spec.pair.d)
+        nodes = block.reshape(len(block), n_trials, -1, d)
         if excursion_bound is not None:
-            l1 = np.abs(nodes[..., later, :] - nodes[..., :1, :]).sum(axis=-1)
-            excursions += int((~(l1 <= excursion_bound[lo:lo + len(block), None, None])).sum())
+            bound = excursion_bound[lo:lo + len(block), None, None]
+            l1 = np.abs(nodes[..., later, 0] - nodes[..., :1, 0])
+            for j in range(1, d):
+                l1 += np.abs(nodes[..., later, j] - nodes[..., :1, j])
+            over = ~(l1 <= bound)
+            # Any two orders of summing d terms >= 0 differ by at most 2 gamma_(d-1)
+            # < 2 d eps of their sum, so only a pair in this band (or an inf l1)
+            # can fall on the other side of its bound under sum(axis=-1).
+            near = np.abs(l1 - bound) <= band * l1
+            if near.any():
+                exact = np.abs((nodes[..., later, :] - nodes[..., :1, :])[near]).sum(axis=-1)
+                over[near] = ~(exact <= np.broadcast_to(bound, near.shape)[near])
+            excursions += int(over.sum())
         for k in range(lo, lo + len(block)):
             i = pos.get(k)
             if i is not None:

@@ -8,6 +8,7 @@ concurrent trial workers.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,6 +34,14 @@ TANGENT_TOL = 1e-10
 def _is_real(value) -> bool:
     """Whether ``value`` is a real number other than a bool (numpy's bool is no number)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    """Whether ``value`` is a real number other than a bool, finite as a double."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:  # an int or fraction beyond the double range
+        return False
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -342,9 +351,9 @@ def component_inverse_moment_bound(
     (nu,) = _checked(generator, observation, [initial])
     if isinstance(state, bool) or not isinstance(state, numbers.Integral) or not 0 <= state < generator.d:
         raise DimensionMismatchError(f"state {state!r} of a {generator.d}-state model")
-    if not (_is_real(t) and 0.0 <= t < np.inf):
+    if not (_is_finite_real(t) and t >= 0.0):
         raise GridMismatchError(f"need a finite time t >= 0, got {t!r}")
-    if not (_is_real(power) and 0.0 < power < np.inf):
+    if not (_is_finite_real(power) and power > 0.0):
         raise ConfigError(f"power must be a finite real number > 0, got {power!r}")
     lam = generator.entries
     h = observation.levels

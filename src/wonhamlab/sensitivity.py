@@ -34,6 +34,7 @@ from .models import (
     ModelPair,
     ObservationMap,
     _checked,
+    _is_finite_real,
     mixing_rate,
     observation_gap,
 )
@@ -153,7 +154,10 @@ def tilted_filter(mu, t, obs: ObservationPath, initial, generator: GeneratorMatr
 
 
 def _decay(generator: GeneratorMatrix, s, t) -> float:
-    """exp(-beta (t - s)) at the forgetting rate beta of ``generator``; needs s <= t."""
+    """exp(-beta (t - s)) at the forgetting rate beta of ``generator``; needs
+    finite real times s <= t (bools excluded)."""
+    if not (_is_finite_real(s) and _is_finite_real(t)):
+        raise GridMismatchError(f"need finite real times s and t, got s={s!r}, t={t!r}")
     if t < s:
         raise GridMismatchError("need s <= t")
     return math.exp(-mixing_rate(generator) * (t - s))
@@ -163,7 +167,8 @@ def derivative_bound(mu, v, s, t, generator: GeneratorMatrix) -> float:
     """Almost-sure bound on the l1 size of the filter derivative.
 
     Sum of |v_k|/mu_k, damped exponentially at the forgetting rate of the
-    (mixing) rate matrix the filter runs with.  Raises GridMismatchError when t < s.
+    (mixing) rate matrix the filter runs with.  Raises GridMismatchError unless s <= t
+    are finite real times.
     """
     mu, v = _checked(generator, None, [mu], [v])
     return float((np.abs(v) / mu).sum() * _decay(generator, s, t))

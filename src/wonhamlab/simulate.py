@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AbsorbingStateError, ConfigError, DimensionMismatchError, GridMismatchError
-from .models import GeneratorMatrix, ObservationMap, _check_sizes, _is_real, validate_simplex
+from .models import GeneratorMatrix, ObservationMap, _check_sizes, _is_finite_real, validate_simplex
 
 NODE_TOL = 1e-9
 
@@ -32,8 +32,8 @@ class TimeGrid:
     def __post_init__(self):
         for name in ("t_end", "dt"):
             value = getattr(self, name)
-            if not _is_real(value):
-                raise GridMismatchError(f"{name} must be a real number, got {value!r}")
+            if not _is_finite_real(value):
+                raise GridMismatchError(f"{name} must be a finite real number, got {value!r}")
             object.__setattr__(self, name, float(value))
         if not (self.dt > 0.0 and self.t_end > 0.0 and math.isfinite(self.t_end / self.dt)):
             raise GridMismatchError(f"need finite dt > 0 and t_end > 0, got dt={self.dt}, t_end={self.t_end}")
@@ -51,8 +51,8 @@ class TimeGrid:
 
     def node(self, t: float) -> int:
         """Index of the grid node at time t; raises if t is off the grid or is
-        not a real number (bools excluded), as the grid's own fields."""
-        if not (_is_real(t) and math.isfinite(t)):
+        not a finite real number (bools excluded), as the grid's own fields."""
+        if not (_is_finite_real(t) and math.isfinite(t / self.dt)):
             raise GridMismatchError(f"t={t!r} is not a node of the grid (dt={self.dt})")
         idx = round(t / self.dt)
         if idx < 0 or idx > self.n_steps or abs(idx * self.dt - t) > NODE_TOL:

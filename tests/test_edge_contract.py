@@ -316,10 +316,11 @@ def test_spec_keeps_a_checkpoint_within_the_node_tolerance_of_the_horizon(ref_mo
                              checkpoints=(0.5, far)).checkpoints == (0.5,)
 
 
-@pytest.mark.parametrize("time", ["0", None, True, np.True_, [0.5]])
+@pytest.mark.parametrize("time", ["0", None, True, np.True_, [0.5], pytest.param(10**400, id="huge-int")])
 def test_a_time_that_is_not_a_real_number_is_a_typed_error(ref_model, time):
-    """A grid node is asked for by a real number, bools excluded, as the grid's
-    own fields: not Python's TypeError, and True is not node 100."""
+    """A grid node is asked for by a finite real number, bools excluded, as the
+    grid's own fields: not Python's TypeError or OverflowError, and True is not
+    node 100."""
     grid = wl.TimeGrid(1.0, 0.01)
     obs = wl.simulate_observations(wl.simulate_signal(ref_model.initial, ref_model.generator, grid, 1),
                                    ref_model.observation, grid, 2)
@@ -356,6 +357,8 @@ def test_observation_increments_of_another_shape_are_a_typed_error(increments, g
     pytest.param(True, 1.0, wl.ConfigError, id="power-bool"),
     pytest.param(math.nan, 1.0, wl.ConfigError, id="power-nan"),
     pytest.param("2", 1.0, wl.ConfigError, id="power-string"),
+    pytest.param(2, 10**400, wl.GridMismatchError, id="t-huge-int"),
+    pytest.param(10**400, 1.0, wl.ConfigError, id="power-huge-int"),
 ])
 def test_inverse_moment_bound_outside_its_domain_is_a_typed_error(ref_model, power, t, error):
     """The bound holds for a power > 0 at a finite time >= 0; elsewhere its

@@ -82,7 +82,7 @@ class TestExperimentSpec:
         assert spec.checkpoints == (0.0, 1.0, 2.0)
 
     @pytest.mark.parametrize("checkpoints", [(0.0, math.nan), (math.nan,), (0.0, -math.inf),
-                                             (0.0, 1.0, math.inf)])
+                                             (0.0, 1.0, math.inf), (0.0, 10**400)])
     def test_rejects_non_finite_checkpoints(self, small_pair, checkpoints):
         with pytest.raises(wl.ConfigError, match="finite"):
             make_spec(small_pair, checkpoints=checkpoints)
@@ -316,6 +316,67 @@ class TestForgettingExperiment:
             camp = experiments._campaign(spec, models, spec.n_trials, bound)
             assert camp["excursions"] == (len(models) - 1) * int((gaps > bound[:, None]).sum()) > 0
 
+    @pytest.mark.parametrize("repeated", [False, True], ids=["d9", "d9-repeated"])
+    def test_excursions_in_the_rounding_band_are_recounted(self, repeated):
+        """At d = 9 a node's l1 terms summed in state order and by ``sum(axis=-1)``
+        differ in their last bits at some (trial, node) pairs.  Bounds on both
+        sides of such a sum, all inside the band, would each move an in-order
+        count; the campaign's count is the node-by-node ``sum(axis=-1)`` count at
+        each of them, so the pairs in the band were recounted."""
+        d = 9
+        pair = random_pair(d)
+        truth, approx = pair.true_model, pair.approx_model
+        spec = make_spec(pair, t_end=0.2, n_trials=100, checkpoints=(0.0, 0.1))
+        models = [dataclasses.replace(approx, initial=truth.initial), approx] + [approx] * repeated
+        filters = [(m.initial, m.generator, m.observation) for m in models[:2]]
+        increments = wl.simulate_increments_batch(truth.initial, truth.generator, truth.observation,
+                                                  spec.grid, spec.master_seed, spec.n_trials)
+        terms = np.array([np.abs(states[1] - states[0])
+                          for states in lockstep_stacks(filters, increments, spec.grid.dt)])
+        exact = terms.sum(axis=-1)
+        in_order = terms[..., 0].copy()
+        for j in range(1, d):
+            in_order += terms[..., j]
+        k, p = np.argwhere(in_order != exact)[0]
+        sums = (exact[k, p], in_order[k, p])
+        moved = 0
+        for at in (*sums, np.nextafter(min(sums), -np.inf), np.nextafter(max(sums), np.inf)):
+            assert abs(in_order[k, p] - at) <= 2 * d * 2.0 ** -52 * in_order[k, p]
+            bound = np.median(exact, axis=1)
+            bound[k] = at
+            expected = (len(models) - 1) * int((exact > bound[:, None]).sum())
+            moved += expected != (len(models) - 1) * int((in_order > bound[:, None]).sum())
+            assert experiments._campaign(spec, models, spec.n_trials, bound)["excursions"] == expected
+        assert moved > 0
+
+    def test_nan_and_inf_gaps_count_as_the_node_sum_does(self, small_pair, monkeypatch):
+        """A NaN weight in the later filter and an inf weight in the first give a
+        NaN and an inf l1 gap; each is counted as the node-by-node
+        ``sum(axis=-1)`` count counts it (NaN is not within its bound)."""
+        truth, approx = small_pair.true_model, small_pair.approx_model
+        spec = make_spec(small_pair, t_end=0.1, n_trials=100, checkpoints=(0.0, 0.1))
+        models = [dataclasses.replace(approx, initial=truth.initial), approx]
+        poison = {(3, 5, 2): np.nan, (20, 7, 0): np.inf}  # (node, trial, flat state) -> weight
+        seen = []
+        real = experiments._lockstep
+
+        def poisoned(filters, increments, dt):
+            for block in real(filters, increments, dt):
+                block = block.copy()
+                for (k, p, i), value in poison.items():
+                    if len(seen) <= k < len(seen) + len(block):
+                        block[k - len(seen), p, i] = value
+                seen.extend(block)
+                yield block
+
+        monkeypatch.setattr(experiments, "_lockstep", poisoned)
+        bound = np.full(spec.grid.n_steps + 1, 0.05)
+        camp = experiments._campaign(spec, models, spec.n_trials, bound)
+        stacks = np.array(seen).reshape(len(seen), spec.n_trials, 2, 2)
+        gaps = np.abs(stacks[:, :, 1] - stacks[:, :, 0]).sum(axis=-1)
+        assert np.isnan(gaps[3, 5]) and np.isinf(gaps[20, 7])
+        assert camp["excursions"] == int((~(gaps <= bound[:, None])).sum()) > 2
+
 
 class TestCampaign:
     def test_checkpoint_off_the_dense_grid(self, small_pair):
@@ -361,6 +422,37 @@ class TestInverseMomentExperiment:
         for row in report.table:
             assert row["mean"] + row["half_width"] <= 6.0 + report.constants["allowance"]
         assert report.supplementary["stationarity"] is not None
+
+    def test_near_boundary_initial_law_keeps_half_widths_finite(self):
+        """A 1e-300 initial weight at d = 10 makes the t = 0 sample of each of 200
+        trials 1 / min mu, about 8e299, and their mean rounds an ulp away.  The
+        squared deviations from it would leave the double range; scaled by a power
+        of two they do not, so both reports' half widths are finite and their JSON
+        holds no Infinity."""
+        def model(seed, tiny):
+            rng = np.random.default_rng(seed)
+            rates = rng.uniform(0.2, 1.5, size=(10, 10))
+            np.fill_diagonal(rates, 0.0)
+            np.fill_diagonal(rates, -rates.sum(axis=1))
+            initial = rng.dirichlet(np.ones(10))
+            if tiny:
+                initial[0] = 1e-300
+            levels = np.linspace(-2.0, 2.0, 10) + rng.normal(0.0, 0.05, size=10)
+            return wl.FilterModel.from_raw(initial / initial.sum(), rates, levels)
+
+        pair = wl.ModelPair(true_model=model(1, True), approx_model=model(2, False))
+        spec = make_spec(pair, t_end=0.5, n_trials=200, seed=2026, checkpoints=(0.0, 0.5))
+
+        def no_constants(name):
+            raise ValueError(f"{name} in a report")
+
+        robustness = wl.run_robustness_experiment(spec)
+        inverse = wl.run_inverse_moment_experiment(spec)
+        rows = robustness.supplementary["inverse_moment"] + inverse.table
+        assert rows[0]["mean"] > 1e299
+        assert all(math.isfinite(row["half_width"]) for row in rows)
+        for report in (robustness, inverse):
+            json.loads(report.to_json(), parse_constant=no_constants)
 
 
 class TestConvergenceSweep:

@@ -156,6 +156,14 @@ class TestTiltedFilter:
         assert np.abs(tilted - direct).sum() <= 1e-5
 
 
+# The three bounds damped by exp(-beta (t - s)), as functions of s, t and the rate matrix.
+SPAN_BOUNDS = pytest.mark.parametrize("bound", [
+    lambda s, t, gen: wl.derivative_bound([0.5, 0.5], [1.0, -1.0], s, t, gen),
+    lambda s, t, gen: wl.lipschitz_bound([0.5, 0.5], [0.3, 0.7], s, t, gen),
+    lambda s, t, gen: wl.second_derivative_gap_bound([0.5, 0.5], [1.0, -1.0], [0.5, -0.5], s, t, gen),
+], ids=["derivative", "lipschitz", "second_derivative_gap"])
+
+
 class TestDerivativeBound:
     def test_zero_horizon_value(self):
         gen = wl.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
@@ -174,11 +182,7 @@ class TestDerivativeBound:
         with pytest.raises(wl.NotMixingError):
             wl.derivative_bound([0.5, 0.5], [1.0, -1.0], 0.0, 1.0, gen)
 
-    @pytest.mark.parametrize("bound", [
-        lambda s, t, gen: wl.derivative_bound([0.5, 0.5], [1.0, -1.0], s, t, gen),
-        lambda s, t, gen: wl.lipschitz_bound([0.5, 0.5], [0.3, 0.7], s, t, gen),
-        lambda s, t, gen: wl.second_derivative_gap_bound([0.5, 0.5], [1.0, -1.0], [0.5, -0.5], s, t, gen),
-    ], ids=["derivative", "lipschitz", "second_derivative_gap"])
+    @SPAN_BOUNDS
     def test_reversed_span_rejected(self, bound):
         """A span with t < s is a GridMismatchError, as on every route over [s, t];
         it would otherwise grow the bound by exp(+beta (s - t))."""
@@ -186,6 +190,20 @@ class TestDerivativeBound:
         assert bound(0.5, 0.5, gen) == bound(0.0, 0.0, gen)
         with pytest.raises(wl.GridMismatchError):
             bound(1.0, 0.0, gen)
+
+    @SPAN_BOUNDS
+    @pytest.mark.parametrize("time", ["0", math.nan, math.inf, True, np.True_, None, 10**400],
+                             ids=["string", "nan", "inf", "true", "numpy-true", "none", "huge-int"])
+    @pytest.mark.parametrize("end", ["s", "t"])
+    def test_a_time_that_is_not_a_finite_real_is_rejected(self, bound, time, end):
+        """Each end of the span is a finite real number, bools excluded, as a
+        grid node is: not Python's TypeError for "0", not a NaN bound, and
+        t=True is not the bound at t = 1."""
+        gen = wl.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+        s, t = (time, 1.0) if end == "s" else (0.0, time)
+        with pytest.raises(wl.GridMismatchError, match="finite real times"):
+            bound(s, t, gen)
+        assert bound(0, 1, gen) == bound(0.0, np.float64(1.0), gen)
 
     def test_pathwise_domination_ten_thousand_draws(self, ref_model):
         # 500 paths x 20 random (mu, v) draws; zero violations beyond 1e-6

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,13 +28,19 @@ class TestTimeGrid:
         with pytest.raises(wl.GridMismatchError):
             wl.TimeGrid(1.0005, 1e-3)
 
+    # An int or fraction too large for a double is as infinite as a YAML
+    # ``t_end: 1e400``, not Python's OverflowError from float().
     @pytest.mark.parametrize("t_end, dt", [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan),
-                                           (1.0, math.inf), (math.inf, math.inf), (1.0, 1e-320)])
+                                           (1.0, math.inf), (math.inf, math.inf), (1.0, 1e-320),
+                                           pytest.param(10**400, 0.1, id="huge-t_end"),
+                                           pytest.param(1.0, 10**400, id="huge-dt"),
+                                           pytest.param(Fraction(10**400), 0.1, id="huge-fraction")])
     def test_non_finite_grid_rejected(self, t_end, dt):
         with pytest.raises(wl.GridMismatchError):
             wl.TimeGrid(t_end, dt)
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    # 10**400 overflows float(), and 1e308 / dt overflows round().
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="huge-int"), 1e308])
     def test_non_finite_node_rejected(self, t):
         with pytest.raises(wl.GridMismatchError):
             wl.TimeGrid(1.0, 1e-3).node(t)
