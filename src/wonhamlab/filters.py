@@ -8,9 +8,9 @@ the true weight is a normal double (with no rate into a state, its weight can
 underflow to 0.0).  Each grid cell is solved with one classical RK4 step,
 holding the observation path piecewise linear inside the cell.  There is one
 cell kernel, ``propagate_cell``: one RK4 step of one vector (d,) or rows (m, d)
-on the gauge factors its caller hands it.  Matrices advance column-wise, as
-rows: ``propagate_cell_matrix`` flattens their leading axes per call, for the
-one-path routes, and ``_flow_loop`` once per batch.
+on the gauge factor exp(-c dt / 2) its caller hands it, one per (row, state).
+Matrices advance column-wise, as rows: ``propagate_cell_matrix`` flattens their
+leading axes per call, for the one-path routes, and ``_flow_loop`` once per batch.
 
 The per-cell maps of the linear equation do not depend on the state, so their
 products are associative.  Every recursion along one observation path runs
@@ -38,7 +38,7 @@ with the block-diagonal matrix of ones.  The exact zeros off the blocks add
 nothing to any sum.  Both batch loops take their gauge factors from
 ``_cell_factors`` one block of cells at a time, with the (row, state) pairs on
 numpy's innermost axis, and hand each cell's kernel call its own contiguous
-slices; the factors are elementwise, so no value moves.  ``_lockstep`` yields
+slice; the factors are elementwise, so no value moves.  ``_lockstep`` yields
 node 0, then each block's nodes as one new array of flat rows (b, m, F * d).
 Every route checks its exponents against the double range before any exp: an
 overflow is a StateCollapseError, not a NaN.  One splitter,
@@ -70,7 +70,8 @@ from .models import GeneratorMatrix, ObservationMap, _check_sizes, _checked
 from .simulate import NODE_TOL, ObservationPath, TimeGrid
 
 EULER_FLOOR = 1e-14
-# Gauge exponents c dt whose factor exp(c dt) is a normal double, as is its reciprocal.
+# Gauge exponents c dt whose gauge exp(c dt) is a normal double; the kernel's factor
+# exp(-c dt / 2) then is one too.
 _EXPONENT_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
 # Cells per block of the prefix scan.  A block costs log2(block) matrix
 # products per cell and its maps are the scan's whole working set; much shorter
@@ -78,15 +79,15 @@ _EXPONENT_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
 _SCAN_BLOCK = 512
 # Cells per block of the batch loops' gauge factors, and nodes per block the lockstep stack
 # yields: one exponential call per block in place of one per cell.  Shorter blocks give back
-# much of the saving; the two factor buffers hold 2 * 16 * w * D doubles (w rows, D states).
+# much of the saving; the factor buffer holds 16 * w * D doubles (w rows, D states).
 _GAUGE_BLOCK = 16
 
 
 def _positive_vector(name: str, x) -> np.ndarray:
     """``x`` as a flat float vector of strictly positive finite entries, or a typed error."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"{name} needs a flat vector, got shape {arr.shape}")
+    if arr.ndim != 1 or not arr.size:
+        raise DimensionMismatchError(f"{name} needs a flat nonempty vector, got shape {arr.shape}")
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise NonPositiveEntryError(f"{name} needs strictly positive finite entries")
     return arr
@@ -137,60 +138,67 @@ def split_rate_matrix(rates) -> tuple[np.ndarray, np.ndarray]:
     return s_diag, t_rows.T
 
 
-def _gauge_factors(d_y, dt: float, s_diag: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The gauge factors exp(c dt / 2) and exp(c dt) at the middle and the end of
-    # the cell; c is the per-state exponent rate, with the observation path
-    # linear inside the cell.  An exponent c dt outside _EXPONENT_RANGE, or NaN,
-    # raises before any exp.
+def _gauge_factors(d_y, dt: float, s_diag: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    # The gauge factor g = exp(-c dt / 2), the reciprocal of the gauge at the
+    # middle of the cell (g * g is that of its end); c is the per-state exponent
+    # rate, with the observation path linear inside the cell.  An exponent c dt
+    # outside _EXPONENT_RANGE, or NaN, raises before any exp.
     c = 0.5 * levels**2 - s_diag - levels * (np.asarray(d_y, dtype=float)[..., None] / dt)
-    e_half = np.multiply(c, 0.5 * dt)
-    e_full = np.multiply(c, dt)
+    exponent = np.multiply(c, dt)
     lo, hi = _EXPONENT_RANGE
-    if e_full.size and not (lo <= e_full.min() and e_full.max() <= hi):
-        raise StateCollapseError(f"gauge exponent c dt in [{e_full.min():.4g}, {e_full.max():.4g}] leaves "
+    if exponent.size and not (lo <= exponent.min() and exponent.max() <= hi):
+        raise StateCollapseError(f"gauge exponent c dt in [{exponent.min():.4g}, {exponent.max():.4g}] leaves "
                                  "the double range of exp; reduce dt or the gap between observation levels")
-    return np.exp(e_half, out=e_half), np.exp(e_full, out=e_full)
+    gauge = np.multiply(c, -0.5 * dt, out=exponent)
+    return np.exp(gauge, out=gauge)
 
 
-def propagate_cell(values, dt, t_off, factors) -> np.ndarray:
-    """One RK4 step of the gauge ODE across one grid cell, on the factors it is handed.
+def propagate_cell(values, dt, t_off, gauge) -> np.ndarray:
+    """One RK4 step of the gauge ODE across one grid cell, on the gauge factor it is handed.
 
-    ``values`` is one vector (d,) or rows (m, d), and ``factors`` the pair
-    ``_gauge_factors`` gives for the cell's increment, one row per row of
-    ``values``.  A Monte Carlo stack of several models is one model with a
-    block-diagonal ``t_off`` (see ``_lockstep``).  The image is entrywise
-    positive whenever the input is, unless a weight underflows to 0.0.
+    ``values`` is one vector (d,) or rows (m, d), and ``gauge`` the factor
+    g = exp(-c dt / 2) that ``_gauge_factors`` gives for the cell's increment,
+    one row per row of ``values``.  A Monte Carlo stack of several models is one
+    model with a block-diagonal ``t_off`` (see ``_lockstep``).  The image is
+    entrywise positive whenever the input is, unless a weight underflows to 0.0.
 
-    Each RK4 stage is an ``np.dot`` of the rows by ``t_off.T``: pass ``t_off``
+    With T = ``t_off.T`` and h = dt / 2, the stages are k1 = v T and p_i = w_i T on
+        w2 = g (v + h k1),  w3 = g v + h p2,  w4 = g (g v + dt p3),
+        out = g (g (v + dt/6 k1) + dt/3 (p2 + p3)) + dt/6 p4.
+    In exact arithmetic this is the RK4 step of the gauge ODE, whose stages
+    k2 = p2 / g, k3 = p3 / g, k4 = p4 / g**2 divide by the gauge at the middle
+    and the end of the cell: one factor per (row, state), and no division.
+
+    Each stage is an ``np.dot`` of the rows by ``t_off.T``: pass ``t_off``
     as ``split_rate_matrix`` returns it, so that operand is contiguous and BLAS
     runs its plain kernel, not the transposed one; the two round some sums apart.
     """
-    e_half, e_full = factors
     t_rows = t_off.T
-
-    def stage(h, k, e):
-        # e * ((values + h * k) / e) @ t_rows, accumulated in place
-        x = h * k
-        x += values
-        x /= e
-        x = np.dot(x, t_rows)
-        x *= e
-        return x
-
+    h = 0.5 * dt
     k1 = np.dot(values, t_rows)
-    k2 = stage(0.5 * dt, k1, e_half)
-    k3 = stage(0.5 * dt, k2, e_half)
-    k4 = stage(dt, k3, e_full)
-    # values + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed in that order
-    k2 *= 2.0
-    k2 += k1
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    k2 *= dt / 6.0
-    k2 += values
-    k2 /= e_full
-    return k2
+    scaled = gauge * values
+    w = h * k1
+    w += values
+    w *= gauge
+    p2 = np.dot(w, t_rows)
+    w = np.multiply(p2, h, out=w)
+    w += scaled
+    p3 = np.dot(w, t_rows)
+    w = np.multiply(p3, dt, out=w)
+    w += scaled
+    w *= gauge
+    p4 = np.dot(w, t_rows)
+    # g (g (v + dt/6 k1) + dt/3 (p2 + p3)) + dt/6 p4, accumulated in k1
+    k1 *= dt / 6.0
+    k1 += values
+    k1 *= gauge
+    p2 += p3
+    p2 *= dt / 3.0
+    k1 += p2
+    k1 *= gauge
+    p4 *= dt / 6.0
+    k1 += p4
+    return k1
 
 
 def propagate_cell_matrix(matrices, d_y, dt, s_diag, t_off, levels) -> np.ndarray:
@@ -201,20 +209,19 @@ def propagate_cell_matrix(matrices, d_y, dt, s_diag, t_off, levels) -> np.ndarra
     matrix's gauge factors, computed once per matrix.
     """
     rows = np.swapaxes(matrices, -1, -2)
-    e_half, e_full = _gauge_factors(np.asarray(d_y, dtype=float)[..., None], dt, s_diag, levels)
-    shape = np.broadcast_shapes(rows.shape, e_full.shape)
-    rows, e_half, e_full = (np.broadcast_to(a, shape).reshape(-1, shape[-1])
-                            for a in (rows, e_half, e_full))
-    out = propagate_cell(rows, dt, t_off, (e_half, e_full))
+    gauge = _gauge_factors(np.asarray(d_y, dtype=float)[..., None], dt, s_diag, levels)
+    shape = np.broadcast_shapes(rows.shape, gauge.shape)
+    rows, gauge = (np.broadcast_to(a, shape).reshape(-1, shape[-1]) for a in (rows, gauge))
+    out = propagate_cell(rows, dt, t_off, gauge)
     return np.swapaxes(out.reshape(shape), -1, -2)
 
 
 def _cell_factors(increments, dt, s_diag, levels):
-    """Per block of ``_GAUGE_BLOCK`` cells of ``increments`` (..., n), the pair (e_half, e_full),
-    (b, w, D) each, w = prod(...): entry j is the pair ``_gauge_factors`` gives for the block's
-    cell j, bit for bit.  From a C-ordered copy of the block's increments, with the w * D (row,
-    state) pairs innermost: the increments over dt repeated per state, the levels and rate
-    constants tiled over the rows once.  The next block overwrites both arrays.
+    """Per block of ``_GAUGE_BLOCK`` cells of ``increments`` (..., n), the gauge factors (b, w, D),
+    w = prod(...): entry j is the factor ``_gauge_factors`` gives for the block's cell j, bit for
+    bit.  From a C-ordered copy of the block's increments, with the w * D (row, state) pairs
+    innermost: the increments over dt repeated per state, the levels and rate constants tiled
+    over the rows once.  One exponential per block, into one buffer that the next block overwrites.
     It restates ``_gauge_factors``' exponent formula in the same operation order, which keeps
     the two bit for bit (``TestCellFactors``); the one-path routes keep ``_gauge_factors``.
     Each operation of that formula is monotone in the increment, so the exponents of the
@@ -224,15 +231,15 @@ def _cell_factors(increments, dt, s_diag, levels):
         _gauge_factors(np.array([increments.min(), increments.max()]), dt, s_diag, levels)
     cells_first = (increments.ndim - 1, *range(increments.ndim - 1))
     tiled_levels, tiled_base = np.tile([levels, 0.5 * levels**2 - s_diag], width)
-    scales, buffers = np.array([[[0.5 * dt]], [[dt]]]), np.empty((2, _GAUGE_BLOCK, width * states))
+    buffer = np.empty((_GAUGE_BLOCK, width * states))
     for lo in range(0, increments.shape[-1], _GAUGE_BLOCK):
         block = increments[..., lo:lo + _GAUGE_BLOCK].transpose(cells_first)
         d_y = np.ascontiguousarray(block).reshape(-1, width)
         c = np.repeat(d_y / dt, states).reshape(len(d_y), -1)
         c *= tiled_levels
         np.subtract(tiled_base, c, out=c)
-        factors = np.multiply(c, scales, out=buffers[:, :len(d_y)])
-        yield tuple(np.exp(factors, out=factors).reshape(2, -1, width, states))
+        gauge = np.multiply(c, -0.5 * dt, out=buffer[:len(d_y)])
+        yield np.exp(gauge, out=gauge).reshape(-1, width, states)
 
 
 def _flow_loop(matrices, increments, dt, s_diag, t_off, levels) -> tuple[np.ndarray, np.ndarray]:
@@ -245,9 +252,9 @@ def _flow_loop(matrices, increments, dt, s_diag, t_off, levels) -> tuple[np.ndar
     rows = np.array(np.broadcast_to(np.swapaxes(matrices, -1, -2), lead + (k, d))).reshape(-1, k, d)
     per_row = np.broadcast_to(increments[..., None, :], lead + (k, increments.shape[-1]))
     log_mass = np.zeros(len(rows))
-    for e_half, e_full in _cell_factors(per_row, dt, s_diag, levels):
-        for factors in zip(e_half, e_full):
-            rows = propagate_cell(rows.reshape(-1, d), dt, t_off, factors).reshape(-1, k, d)
+    for gauges in _cell_factors(per_row, dt, s_diag, levels):
+        for gauge in gauges:
+            rows = propagate_cell(rows.reshape(-1, d), dt, t_off, gauge).reshape(-1, k, d)
             mass = np.abs(rows).sum(axis=(1, 2))
             rows /= mass[:, None, None]
             log_mass += np.log(mass)
@@ -346,10 +353,10 @@ def _lockstep(filters, increments, dt):
     block_ones = np.kron(np.eye(count), np.ones((d, d)))
     states = np.tile(np.concatenate(initials).astype(float), (len(increments), 1))
     yield states[None]
-    for e_half, e_full in _cell_factors(increments, dt, s_diag, levels):
-        nodes = np.empty((len(e_full),) + states.shape)
-        for node, *factors in zip(nodes, e_half, e_full):
-            states = propagate_cell(states, dt, t_off, factors)
+    for gauges in _cell_factors(increments, dt, s_diag, levels):
+        nodes = np.empty((len(gauges),) + states.shape)
+        for node, gauge in zip(nodes, gauges):
+            states = propagate_cell(states, dt, t_off, gauge)
             states = np.divide(states, np.dot(states, block_ones), out=node)
         yield nodes
 

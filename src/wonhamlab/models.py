@@ -127,8 +127,8 @@ def validate_generator(raw) -> GeneratorMatrix:
 
 def validate_observation(levels) -> ObservationMap:
     arr = np.asarray(levels, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionMismatchError("observation levels must be a flat vector")
+    if arr.ndim != 1 or not arr.size:
+        raise DimensionMismatchError("observation levels must be a flat nonempty vector")
     if not np.all(np.isfinite(arr)):
         raise DimensionMismatchError("observation levels must be finite")
     return ObservationMap(levels=_readonly(arr))
@@ -158,8 +158,8 @@ def validate_simplex(weights, *, allow_boundary: bool = False) -> np.ndarray:
 def validate_tangent(components) -> np.ndarray:
     """Check a zero-sum direction vector and return a read-only copy."""
     arr = np.asarray(components, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionMismatchError("tangent vector must be flat")
+    if arr.ndim != 1 or not arr.size:
+        raise DimensionMismatchError("tangent vector must be flat and nonempty")
     if not np.isfinite(arr).all():
         raise DimensionMismatchError("tangent vector has a non-finite component")
     if abs(arr.sum()) > TANGENT_TOL:

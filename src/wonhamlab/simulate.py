@@ -89,15 +89,20 @@ class SignalPath:
 
     def state_at(self, t) -> np.ndarray:
         """The state at each time of ``t``, which must lie in [0, t_end] (up to
-        ``NODE_TOL`` past ``t_end``); raises GridMismatchError otherwise."""
+        ``NODE_TOL`` past ``t_end``); raises GridMismatchError otherwise, and
+        for a time that is not a real number (a bool, say)."""
         t = np.asarray(t)
-        if not np.all((t >= 0.0) & (t <= self.t_end + NODE_TOL)):
-            raise GridMismatchError(f"state_at needs times in [0, t_end={self.t_end}]")
+        if t.dtype.kind not in "iuf" or not np.all((t >= 0.0) & (t <= self.t_end + NODE_TOL)):
+            raise GridMismatchError(f"state_at needs real times in [0, t_end={self.t_end}]")
         idx = np.searchsorted(self.segment_starts, t, side="right") - 1
         return self.states[idx]
 
     def occupation_times(self, d: int) -> np.ndarray:
-        """Total time spent in each of d states."""
+        """Total time spent in each of d states; ``d`` is a whole number (bools
+        excluded) that counts every state of the path, or DimensionMismatchError."""
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d <= self.states.max():
+            raise DimensionMismatchError(f"occupation times need a state count above {self.states.max()}, "
+                                         f"got {d!r}")
         durations = np.diff(np.append(self.segment_starts, self.t_end))
         return np.bincount(self.states, weights=durations, minlength=d)
 

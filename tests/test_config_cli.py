@@ -368,18 +368,21 @@ class TestCliRun:
         assert code == 1
 
     def test_engineered_violation_exits_two(self, tmp_path, capsys, recwarn):
-        # Coarse grid over a long horizon with the allowance disabled: the
-        # late-time forgetting bound drops below the residual finite-precision
-        # gap between the two filter trajectories.  Deterministic at this seed.
-        config = GOOD_CONFIG.replace("t_end: 2.0", "t_end: 20.0").replace(
-            "checkpoints: [0.0, 1.0, 2.0]", "checkpoints: [0.0, 10.0, 20.0]"
-        )
+        # A step too coarse for the approximate model's fast mixing, with the
+        # allowance disabled: at dt = 0.25 against rates about 10, the discrete
+        # filters forget far slower than the bound exp(-beta t) with beta = 19.9.
+        # At t = 1 the mean gap is over a thousand times its bound, so the
+        # violation does not rest on the last bits of any value.
+        config = GOOD_CONFIG.replace("generator: [[-1.1, 1.1], [0.9, -0.9]]",
+                                     "generator: [[-11.0, 11.0], [9.0, -9.0]]")
         path = tmp_path / "coarse.yaml"
         path.write_text(config)
         code = main(["run", str(path), "forgetting", "--out", str(tmp_path),
-                     "--dt", "0.1", "--strict-tolerance", "--seed", "7"])
+                     "--dt", "0.25", "--strict-tolerance", "--seed", "7"])
         assert code == 2
         assert "BOUND VIOLATIONS" in capsys.readouterr().err
+        late = json.loads((tmp_path / "forgetting-7.json").read_text())["table"][1]
+        assert late["violation"] and late["mean_gap"] > 100.0 * late["bound"]
 
     def test_violation_count_drives_exit_code(self, config_file, tmp_path, monkeypatch, capsys):
         # exit-2 plumbing, independent of any particular violating scenario

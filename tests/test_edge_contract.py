@@ -233,11 +233,13 @@ def test_refine_factor_must_be_a_whole_number(factor):
     pytest.param([1.0, -0.5], wl.NonPositiveEntryError, id="negative"),
     pytest.param([[1.0, 2.0]], wl.DimensionMismatchError, id="row"),
     pytest.param(2.0, wl.DimensionMismatchError, id="scalar"),
+    pytest.param([], wl.DimensionMismatchError, id="empty"),
 ])
 def test_simplex_projection_and_its_derivatives_check_their_point(route, x, error):
-    """The projection and its two derivatives take a flat vector of strictly
-    positive finite entries: anything else is a typed error, not a NaN result,
-    a numpy warning or a (2, 1) matrix for the row [[1, 2]]."""
+    """The projection and its two derivatives take a flat nonempty vector of
+    strictly positive finite entries: anything else is a typed error, not a NaN
+    result, a numpy warning, a (2, 1) matrix for the row [[1, 2]], a (0, 0)
+    matrix or numpy's ValueError for the empty vector."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error):
@@ -331,6 +333,14 @@ def test_a_time_that_is_not_a_real_number_is_a_typed_error(ref_model, time):
         with pytest.raises(wl.GridMismatchError, match="not a node"):
             call()
     assert grid.node(np.float64(0.5)) == grid.node(1) // 2 == 50
+
+
+@pytest.mark.parametrize("validator", [wl.validate_observation, wl.validate_tangent])
+def test_an_empty_model_part_is_a_typed_error(validator):
+    """Levels and directions have one entry per state, and a model has at least
+    one state: the empty vector is a DimensionMismatchError, not an empty part."""
+    with pytest.raises(wl.DimensionMismatchError, match="nonempty"):
+        validator([])
 
 
 @pytest.mark.parametrize("increments, got", [

@@ -723,6 +723,33 @@ class TestCellKernels:
         assert_relative(given, einsum_cell(values, other, dt, *parts))
         assert not np.array_equal(given, gauge_cell(values, d_y, dt, *parts))
 
+    @given(d=st.integers(2, 10), form=st.sampled_from(["vector", "rows", "signed"]),
+           width=st.integers(1, 7), dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    def test_one_factor_stages_are_the_two_factor_step(self, d, form, width, dt, seed):
+        """With g = exp(-c dt / 2) the two-factor stages of ``einsum_cell`` are
+        k2 = p2 / g, k3 = p3 / g and k4 = p4 / g**2, so the kernel's step is the
+        two-factor step in exact arithmetic; in doubles the two agree within a few ulps.
+        On vectors and rows, entry by entry; on the signed rates of
+        ``zakai_flow_inverse``'s drift, whose sums cancel, against each row's
+        largest entry."""
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, d, bool(rng.integers(2)))
+        if form == "signed":
+            levels = model.observation.levels
+            drift = np.diag(levels**2) - model.generator.entries
+            parts = (*split_rate_matrix(drift.T), -levels)
+            values = rng.uniform(-1.0, 1.0, size=(width, d))
+        else:
+            parts = kernel_parts(model)
+            values = rng.uniform(0.01, 1.0, size=(d,) if form == "vector" else (width, d))
+        d_y = rng.normal(0.0, math.sqrt(dt), size=values.shape[:-1])
+        got = gauge_cell(values, d_y, dt, *parts)
+        want = einsum_cell(values, d_y, dt, *parts)
+        scale = np.abs(want).max(axis=-1, keepdims=True) if form == "signed" else np.abs(want)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 2e-15 * scale)
+
     @given(d=st.integers(2, 10), n_filters=st.integers(1, 4), width=st.integers(1, 6),
            n=st.sampled_from([0, 1, 2, 37]), dt=st.sampled_from([1e-3, 1e-2]),
            mixing=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 2**32 - 1))
@@ -761,13 +788,14 @@ def record_kernel_calls(monkeypatch):
     return calls
 
 
-def per_cell_lockstep(filters, increments, dt, c_ordered_rates=False):
+def per_cell_lockstep(filters, increments, dt, c_ordered_rates=False, cell=gauge_cell):
     """Reference driver: the block-diagonal stack with its gauge factors
     computed by ``_gauge_factors``, one cell at a time.  Its rate matrix is
     laid out as ``_lockstep`` lays it out, the transpose of C-ordered rows: the
     plain and transposed BLAS kernels round some sums apart, so a comparison of
     the factors' blocking must not change the layout.  ``c_ordered_rates``
-    passes ``t_off`` C-ordered instead, which sends BLAS to its transposed kernel."""
+    passes ``t_off`` C-ordered instead, which sends BLAS to its transposed kernel.
+    ``cell`` takes the cell's step as ``gauge_cell`` does (``einsum_cell``, say)."""
     initials, generators, observations = zip(*filters)
     parts = [split_rate_matrix(g.entries) for g in generators]
     count, d = len(parts), parts[0][0].shape[0]
@@ -782,7 +810,7 @@ def per_cell_lockstep(filters, increments, dt, c_ordered_rates=False):
     states = np.tile(np.concatenate(initials).astype(float), (increments.shape[0], 1))
     yield states
     for k in range(increments.shape[1]):
-        states = gauge_cell(states, increments[:, k], dt, s_diag, t_off, levels)
+        states = cell(states, increments[:, k], dt, s_diag, t_off, levels)
         states /= states @ block_ones
         yield states
 
@@ -830,11 +858,11 @@ class TestBlockDiagonalStack:
         assert sizes == [1] + [min(_GAUGE_BLOCK, n - lo) for lo in range(0, n, _GAUGE_BLOCK)]
 
     def test_each_cell_gets_contiguous_factors(self, monkeypatch):
-        """One kernel call per cell, each given its own (m, F * d) factor
-        slices, C-ordered and bit for bit the pair ``_gauge_factors`` gives for
+        """One kernel call per cell, each given its own (m, F * d) gauge factor
+        slice, C-ordered and bit for bit the factor ``_gauge_factors`` gives for
         the cell's increments, and the block-diagonal rate rows ``t_off.T``
         C-ordered.  A block's calls are checked as its nodes are yielded,
-        before the next block overwrites the factor buffers."""
+        before the next block overwrites the factor buffer."""
         rng = np.random.default_rng(5)
         models = [random_model(rng, 3, f % 2 == 0) for f in range(3)]
         s_diag = np.concatenate([split_rate_matrix(m.generator.entries)[0] for m in models])
@@ -849,14 +877,25 @@ class TestBlockDiagonalStack:
             done += len(block)
             assert len(calls) == done
             for k in range(done - len(block), done):
-                _, dt, t_off, factors = calls[k]
+                _, dt, t_off, gauge = calls[k]
                 assert dt == 1e-3
                 assert t_off.shape == (9, 9) and t_off.T.flags.c_contiguous
-                want = _gauge_factors(increments[:, k], 1e-3, s_diag, levels)
-                for got, expected in zip(factors, want, strict=True):
-                    assert got.shape == (width, 9) and got.flags.c_contiguous
-                    assert np.array_equal(got, expected)
+                assert gauge.shape == (width, 9) and gauge.flags.c_contiguous
+                assert np.array_equal(gauge, _gauge_factors(increments[:, k], 1e-3, s_diag, levels))
         assert done == len(calls) == n
+
+    def test_desk_stack_stays_on_the_two_factor_loop(self, ref_model, perturbed_model):
+        """The desk's robustness stack, the reference and the desk model on 200
+        paths of the reference model over 2000 cells of 1e-3, against a per-cell
+        loop of the two-factor step ``einsum_cell``: the one-factor rounding does not build up
+        along a path, and every node stays within 1e-13, inside the 1e-12 contract."""
+        filters = [(m.initial, m.generator, m.observation) for m in (ref_model, perturbed_model)]
+        increments = wl.simulate_increments_batch(ref_model.initial, ref_model.generator,
+                                                  ref_model.observation, wl.TimeGrid(2.0, 1e-3), 2026, 200)
+        gaps = [np.abs(got - want).max() for got, want in zip(
+            lockstep_nodes(filters, increments, 1e-3),
+            per_cell_lockstep(filters, increments, 1e-3, cell=einsum_cell), strict=True)]
+        assert len(gaps) == 2001 and max(gaps) <= 1e-13
 
     @given(d=st.integers(2, 10), n_filters=st.integers(1, 4), width=st.integers(1, 6),
            n=st.sampled_from([0, 1, 37]), dt=st.sampled_from([1e-3, 1e-2]),
@@ -1177,20 +1216,18 @@ class TestCellFactors:
     @given(states=st.integers(1, 40), dt=st.sampled_from([1e-3, 1e-2]), seed=st.integers(0, 2**32 - 1))
     @settings(derandomize=True, deadline=None, max_examples=3)
     def test_block_matches_gauge_factors(self, n, width, states, dt, seed):
-        """One block, a (b, w, D) array of each factor: each cell's factors as
-        ``_gauge_factors`` gives them for that cell alone, bit for bit, each a
+        """One block, a (b, w, D) array of gauge factors: each cell's factor as
+        ``_gauge_factors`` gives it for that cell alone, bit for bit, each a
         C-ordered (w, D) array."""
         rng = np.random.default_rng(seed)
         s_diag = -rng.uniform(0.0, 5.0, size=states)
         levels = rng.uniform(-2.0, 2.0, size=states)
         increments = rng.normal(0.0, math.sqrt(dt), size=(width, n))
         [block] = _cell_factors(increments, dt, s_diag, levels)
-        assert [e.shape for e in block] == [(n, width, states)] * 2
-        for k in range(n):
-            want = _gauge_factors(increments[:, k], dt, s_diag, levels)
-            for got, expected in zip((e[k] for e in block), want, strict=True):
-                assert got.shape == (width, states) and got.flags.c_contiguous
-                assert np.array_equal(got, expected)
+        assert block.shape == (n, width, states)
+        for k, got in enumerate(block):
+            assert got.shape == (width, states) and got.flags.c_contiguous
+            assert np.array_equal(got, _gauge_factors(increments[:, k], dt, s_diag, levels))
 
     def test_broadcast_rows_over_several_blocks(self):
         """The flow loop's layout: each matrix's increments repeated over its
@@ -1200,11 +1237,10 @@ class TestCellFactors:
         s_diag, levels = -rng.uniform(0.0, 5.0, size=states), rng.uniform(-2.0, 2.0, size=states)
         per_row = np.broadcast_to(rng.normal(0.0, 0.03, size=(matrices, 1, n)), (matrices, k, n))
         j = 0
-        for e_half, e_full in _cell_factors(per_row, 1e-3, s_diag, levels):
-            assert len(e_half) == len(e_full) == min(_GAUGE_BLOCK, n - j)
-            for factors in zip(e_half, e_full):
-                want = _gauge_factors(per_row[..., j].ravel(), 1e-3, s_diag, levels)
-                assert all(np.array_equal(got, expected) for got, expected in zip(factors, want, strict=True))
+        for gauges in _cell_factors(per_row, 1e-3, s_diag, levels):
+            assert len(gauges) == min(_GAUGE_BLOCK, n - j)
+            for gauge in gauges:
+                assert np.array_equal(gauge, _gauge_factors(per_row[..., j].ravel(), 1e-3, s_diag, levels))
                 j += 1
         assert j == n
 

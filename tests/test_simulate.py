@@ -311,6 +311,22 @@ class TestStateAt:
         with pytest.raises(wl.GridMismatchError):
             path.state_at([0.5, t])
 
+    @pytest.mark.parametrize("t", [True, np.True_, [True, False], "0.5", 0.5j])
+    def test_a_time_that_is_not_a_real_number_is_rejected(self, path, t):
+        """True is not the time 1, whose state is 1."""
+        with pytest.raises(wl.GridMismatchError, match="real times"):
+            path.state_at(t)
+        assert path.state_at(1) == 1
+
+    @pytest.mark.parametrize("d", [True, np.True_, -1, 0, 1, 2.0, "2", None])
+    def test_occupation_times_need_a_count_of_every_state(self, path, d):
+        """The state count is a whole number, bools excluded, above every state
+        the path visits: not numpy's TypeError or ValueError, nor a silently
+        longer array for d = 1."""
+        with pytest.raises(wl.DimensionMismatchError, match="state count"):
+            path.occupation_times(d)
+        assert path.occupation_times(np.int64(3)).sum() == pytest.approx(1.0)
+
 
 def choice_signal(initial, generator, t_end, rng):
     """Reference sampler: the event loop drawing every state with Generator.choice."""
